@@ -131,7 +131,10 @@ class JointSource:
             yv = np.asarray(self.y_values, dtype=float)
             if yv.shape != (len(self.p_y),):
                 raise DimensionMismatch("y_values length must equal |Y|")
-            if len(np.unique(yv)) != yv.size:
+            if not np.all(np.isfinite(yv)):
+                raise ValueError("y_values must be finite")
+            # sort-and-diff rather than np.unique, which imports numpy.ma
+            if np.any(np.diff(np.sort(yv)) == 0):
                 raise ValueError("y_values must be distinct")
             object.__setattr__(self, "y_values", _readonly(yv))
 

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .leakage import avg_tv_leakage, mutual_information
+from .leakage import LOG2E, avg_tv_leakage, mutual_information
 from .probability import (Channel, JointSource, Mechanism, entropy,
                           marginal_x)
 from .regions import SPointSet, build_linear_forms, enumerate_spoints
 
-LOG2E = float(np.log2(np.e))
 SUPPORT_TOL = 1e-9
 
 
@@ -115,9 +114,8 @@ class TradeoffPoint:
     achieved_t: float
 
 
-def _phi(kind: UtilityKind, spoints: SPointSet, src: JointSource) -> np.ndarray:
-    """Per-posterior objective costs phi(s_i) for the reduced LP."""
-    cols = spoints.as_matrix()
+def _phi(kind: UtilityKind, cols: np.ndarray, src: JointSource) -> np.ndarray:
+    """Per-posterior objective costs phi(s_i) of the columns of ``cols``."""
     if kind == UtilityKind.MUTUAL_INFORMATION:
         return np.array([entropy(cols[:, i]) for i in range(cols.shape[1])])
     if kind == UtilityKind.MMSE:
@@ -135,13 +133,6 @@ def _value_from_lp(kind: UtilityKind, lp_value: float, h_y: float) -> float:
     if kind == UtilityKind.MMSE:
         return lp_value
     return 1.0 + lp_value
-
-
-def _full_utility(kind: UtilityKind, src: JointSource) -> float:
-    """Utility of releasing Y unchanged (the eps >= T(X;Y) endpoint)."""
-    if kind == UtilityKind.MUTUAL_INFORMATION:
-        return entropy(src.p_y)
-    return 0.0
 
 
 def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
@@ -173,64 +164,96 @@ def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
     return Mechanism(Channel(channel_u_given_y), labels)
 
 
-def solve_tradeoff(src: JointSource, kind: UtilityKind, eps: float,
-                   spoints: SPointSet | None = None) -> TradeoffSolution:
-    """Solve one budget point exactly; see the module docstring for the LP."""
+@dataclass(frozen=True)
+class _TradeoffLp:
+    """The budget-independent part of the trade-off LP for one source and
+    utility; ``cols`` is None when no retained form costs leakage."""
+
+    kind: UtilityKind
+    spoints: SPointSet
+    p_y: np.ndarray
+    t_cap: float
+    h_y: float
+    cols: np.ndarray | None    # support points as columns (|Y| x K)
+    phi: np.ndarray | None     # objective cost per column
+
+    def clamp(self, eps: float) -> float:
+        return min(max(float(eps), 0.0), self.t_cap)
+
+
+def _prepare_lp(src: JointSource, kind: UtilityKind,
+                spoints: SPointSet | None = None) -> _TradeoffLp:
     kind = UtilityKind(kind)
     if kind == UtilityKind.MMSE and src.y_values is None:
         raise MissingYValues("mmse utility needs y_values on the source")
-
     t_cap = t_xy(src)
-    eps_eff = min(max(float(eps), 0.0), t_cap)
-
     if spoints is None:
         spoints = enumerate_spoints(src)
+    cols = phi = None
+    if spoints.f_values.size and np.any(spoints.f_values > 0):
+        cols = spoints.as_matrix()
+        phi = _phi(kind, cols, src)
+    return _TradeoffLp(kind, spoints, src.p_y.probs, t_cap,
+                       entropy(src.p_y), cols, phi)
 
-    if spoints.f_values.size == 0 or np.all(spoints.f_values <= 0):
-        # X independent of Y (no retained forms): any release is free,
-        # so release Y itself
-        labels = None
-        if kind == UtilityKind.MMSE:
-            labels = src.y_values
-        elif kind == UtilityKind.ERROR_PROBABILITY:
-            labels = np.arange(src.n_y, dtype=float)
-        mech = Mechanism.identity(src.n_y, labels)
-        return TradeoffSolution(eps_eff, float(eps), _full_utility(kind, src),
-                                mech, 0.0, spoints)
 
-    problem = lp.LpProblem(
-        c=_phi(kind, spoints, src),
-        a_eq=spoints.as_matrix(),
-        b_eq=src.p_y.probs,
-        a_ub=spoints.f_values[None, :],
-        b_ub=np.array([eps_eff]),
-    )
-    sol = lp.solve(problem)
+def _solve_lp(prep: _TradeoffLp,
+              eps_eff: float) -> tuple[float, float, np.ndarray | None]:
+    """Solve at one clamped budget: ``(utility value, achieved T, weights)``.
+
+    Without a costly form (X independent of Y) any release is free, so
+    the value is that of releasing Y itself and ``weights`` is None.
+    """
+    if prep.cols is None:
+        full = prep.h_y if prep.kind == UtilityKind.MUTUAL_INFORMATION else 0.0
+        return full, 0.0, None
+    f_values = prep.spoints.f_values
+    sol = lp.solve(lp.LpProblem(c=prep.phi, a_eq=prep.cols, b_eq=prep.p_y,
+                                a_ub=f_values[None, :],
+                                b_ub=np.array([eps_eff])))
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"trade-off LP returned status {sol.status!r}")
+    value = _value_from_lp(prep.kind, sol.value, prep.h_y)
+    return value, float(np.dot(sol.weights, f_values)), sol.weights
 
-    mech = mechanism_from_weights(sol.weights, spoints, src, kind)
-    achieved = float(np.dot(sol.weights, spoints.f_values))
-    value = _value_from_lp(kind, sol.value, entropy(src.p_y))
-    return TradeoffSolution(eps_eff, float(eps), value, mech, achieved, spoints)
+
+def solve_tradeoff(src: JointSource, kind: UtilityKind, eps: float,
+                   spoints: SPointSet | None = None) -> TradeoffSolution:
+    """Solve one budget point exactly; see the module docstring for the LP."""
+    prep = _prepare_lp(src, kind, spoints)
+    eps_eff = prep.clamp(eps)
+    value, achieved, weights = _solve_lp(prep, eps_eff)
+    if weights is None:
+        # X independent of Y: any release is free, so release Y itself
+        labels = None
+        if prep.kind == UtilityKind.MMSE:
+            labels = src.y_values
+        elif prep.kind == UtilityKind.ERROR_PROBABILITY:
+            labels = np.arange(src.n_y, dtype=float)
+        mech = Mechanism.identity(src.n_y, labels)
+    else:
+        mech = mechanism_from_weights(weights, prep.spoints, src, prep.kind)
+    return TradeoffSolution(eps_eff, float(eps), value, mech, achieved,
+                            prep.spoints)
 
 
 def sweep_curve(src: JointSource, kind: UtilityKind,
                 grid_size: int) -> list[TradeoffPoint]:
     """Solve an even budget grid over [0, T(X;Y)] and return the curve.
 
-    The support set is enumerated once and shared across grid points.
+    One LP is built per curve: the support set, costs and constraint
+    columns are computed once and only the budget changes between grid
+    points.  Each point equals ``solve_tradeoff`` at the same budget;
+    no mechanism is assembled.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    kind = UtilityKind(kind)
-    t_cap = t_xy(src)
-    spoints = enumerate_spoints(src)
+    prep = _prepare_lp(src, kind)
     points = []
     for j in range(grid_size):
-        eps = t_cap * j / (grid_size - 1)
-        sol = solve_tradeoff(src, kind, eps, spoints=spoints)
-        points.append(TradeoffPoint(eps, sol.utility_value, sol.achieved_t))
+        eps = prep.t_cap * j / (grid_size - 1)
+        value, achieved, _ = _solve_lp(prep, prep.clamp(eps))
+        points.append(TradeoffPoint(eps, value, achieved))
     return points
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvpriv
 from tvpriv import (Channel, Mechanism, Pmf, avg_tv_leakage, compose,
                     marginal_x, mutual_information)
 from tvpriv.cli import main
@@ -69,6 +74,38 @@ class TestSolve:
         }))
         assert run(["solve", str(src), "--utility", "mmse",
                     "--epsilon", "0.1"]) == 2
+
+    def test_nan_y_value_rejected(self, tmp_path, capsys):
+        src = tmp_path / "src.json"
+        # json writes the NaN literal, which json.load reads back
+        src.write_text(json.dumps({
+            "p_y": [0.4, 0.6],
+            "P_x_given_y": [[0.9, 0.2], [0.1, 0.8]],
+            "y_values": [1.0, float("nan")],
+        }))
+        assert run(["solve", str(src), "--utility", "mmse",
+                    "--epsilon", "0.1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestImportCost:
+    # importing numpy.ma adds about 15 ms to each CLI process;
+    # nothing on the source-loading or solve path should pull it in
+    @pytest.mark.parametrize("snippet", [
+        "import numpy as np\n"
+        "from tvpriv import Channel, JointSource, Pmf\n"
+        "JointSource(Pmf(np.array([0.5, 0.5])), Channel(np.eye(2)),\n"
+        "            y_values=np.array([1.0, 0.0]))",
+        "from tvpriv.cli import main\n"
+        f"main(['solve', {UNIFORM3!r}, '--utility', 'mmse', '--epsilon', '0.05'])",
+    ], ids=["joint_source", "cli_solve"])
+    def test_numpy_ma_not_imported(self, snippet):
+        code = snippet + "\nimport sys\nassert 'numpy.ma' not in sys.modules"
+        src_dir = str(Path(tvpriv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCurve:

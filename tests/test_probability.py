@@ -84,6 +84,12 @@ class TestJointSource:
             JointSource(Pmf(np.array([0.4, 0.6])), Channel(np.eye(2)),
                         y_values=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JointSource(Pmf(np.array([0.4, 0.6])), Channel(np.eye(2)),
+                        y_values=np.array([1.0, bad]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             JointSource(Pmf(np.array([0.4, 0.6])),

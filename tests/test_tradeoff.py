@@ -278,6 +278,29 @@ class TestSweepCurve:
         for pt in pts:
             assert pt.achieved_t <= pt.epsilon + 1e-9
 
+    def test_points_equal_solve_tradeoff(self, binary_source, uniform3_source,
+                                         independent_source):
+        # the curve shares one LP per source and utility, so each point must
+        # be exactly the from-scratch solve at the same budget
+        rng = np.random.default_rng(233)
+        independent = JointSource(independent_source.p_y,
+                                  independent_source.channel_x_given_y,
+                                  y_values=np.array([-1.0, 0.5, 2.0]))
+        sources = [binary_source, uniform3_source, independent]
+        sources += [random_source(rng, int(rng.integers(2, 5)),
+                                  int(rng.integers(2, 4)), with_values=True)
+                    for _ in range(4)]
+        for src in sources:
+            for kind in (MI, MMSE, PERR):
+                for pt in sweep_curve(src, kind, 7):
+                    sol = solve_tradeoff(src, kind, pt.epsilon)
+                    assert pt.utility_value == sol.utility_value
+                    assert pt.achieved_t == sol.achieved_t
+
+    def test_missing_y_values(self, independent_source):
+        with pytest.raises(MissingYValues):
+            sweep_curve(independent_source, MMSE, 5)
+
 
 class TestVarianceConcavity:
     def test_random_mixtures(self):
