@@ -67,8 +67,7 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def load_source(path: str) -> JointSource:
-    """Parse and validate a source JSON file with field-specific errors."""
+def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -76,7 +75,14 @@ def load_source(path: str) -> JointSource:
         raise SourceFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SourceFileError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SourceFileError(f"{path}: top level must be a JSON object")
+    return raw
 
+
+def load_source(path: str) -> JointSource:
+    """Parse and validate a source JSON file with field-specific errors."""
+    raw = _read_json(path)
     for key in ("p_y", "P_x_given_y"):
         if key not in raw:
             raise SourceFileError(f"{path}: missing required field '{key}'")
@@ -85,20 +91,11 @@ def load_source(path: str) -> JointSource:
     except ValueError as exc:
         raise SourceFileError(f"{path}: field 'p_y': {exc}") from exc
 
-    matrix = np.asarray(raw["P_x_given_y"], dtype=float)
-    if matrix.ndim != 2:
-        raise SourceFileError(f"{path}: field 'P_x_given_y' must be a matrix")
-    sums = matrix.sum(axis=0)
-    for j, s in enumerate(sums):
-        if abs(s - 1.0) > 1e-9:
-            raise SourceFileError(
-                f"{path}: field 'P_x_given_y': column {j} sums to {s:.6g}, not 1")
-    if np.any(matrix < 0):
-        j = int(np.argwhere(matrix < 0)[0][1])
-        raise SourceFileError(
-            f"{path}: field 'P_x_given_y': column {j} has a negative entry")
     try:
-        channel = Channel(matrix)
+        channel = Channel(np.asarray(raw["P_x_given_y"], dtype=float))
+    except ValueError as exc:
+        raise SourceFileError(f"{path}: field 'P_x_given_y': {exc}") from exc
+    try:
         return JointSource(p_y, channel, raw.get("y_values"))
     except ValueError as exc:
         raise SourceFileError(f"{path}: {exc}") from exc
@@ -106,13 +103,7 @@ def load_source(path: str) -> JointSource:
 
 def load_mechanism(path: str, n_y: int) -> Mechanism:
     """Load a mechanism from its own JSON or from a solve-command output."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SourceFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SourceFileError(f"{path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path)
     if "mechanism" in raw:
         raw = raw["mechanism"]
     if "p_u_given_y" not in raw:
@@ -127,6 +118,13 @@ def load_mechanism(path: str, n_y: int) -> Mechanism:
                          None if labels is None else np.asarray(labels, float))
     except ValueError as exc:
         raise SourceFileError(f"{path}: field 'p_u_given_y': {exc}") from exc
+
+
+def _mechanism_arg(args, n_y: int) -> Mechanism:
+    """The mechanism named by --identity or --mechanism."""
+    if args.identity:
+        return Mechanism.identity(n_y)
+    return load_mechanism(args.mechanism, n_y)
 
 
 def _mechanism_doc(mech: Mechanism, p_u: Pmf, p_y_given_u: Channel) -> dict:
@@ -194,11 +192,7 @@ def cmd_curve(args) -> int:
 
 def cmd_measure(args) -> int:
     src = load_source(args.source)
-    if args.identity:
-        mech = Mechanism.identity(src.n_y)
-    else:
-        mech = load_mechanism(args.mechanism, src.n_y)
-    p_u, p_x_given_u, _ = compose(mech, src)
+    p_u, p_x_given_u, _ = compose(_mechanism_arg(args, src.n_y), src)
     rep = leakage_report(p_u, p_x_given_u, marginal_x(src))
     _emit_json(_report_doc(rep), args.out)
     return EXIT_OK
@@ -231,11 +225,7 @@ def cmd_regions(args) -> int:
 
 def cmd_threat(args) -> int:
     src = load_source(args.source)
-    if args.identity:
-        mech = Mechanism.identity(src.n_y)
-    else:
-        mech = load_mechanism(args.mechanism, src.n_y)
-    p_u, p_x_given_u, _ = compose(mech, src)
+    p_u, p_x_given_u, _ = compose(_mechanism_arg(args, src.n_y), src)
     cost = (CostFunction.log_loss() if args.cost == "log_loss"
             else CostFunction.brier())
     rep = inference_gain(cost, p_u, p_x_given_u, marginal_x(src))

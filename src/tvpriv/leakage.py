@@ -157,11 +157,6 @@ class MarkovChain:
         return Channel(self.channel_a_given_b.matrix @ self.channel_b_given_c.matrix)
 
 
-def t_of(p_w: Pmf, channel_v_given_w: Channel, p_v: Pmf) -> float:
-    """T(V;W) written from the (p_W, p_{V|W}) side of the joint."""
-    return avg_tv_leakage(p_w, channel_v_given_w, p_v)
-
-
 def avg_pnorm_leakage(p_w: Pmf, channel_v_given_w: Channel, p_v: Pmf,
                       order: float) -> float:
     """p_W-averaged L^p distance between posterior and prior of V.
@@ -195,8 +190,8 @@ CHAIN_TOL = 1e-9
 def is_postprocessing_consistent(chain: MarkovChain) -> SlackResult:
     """Check T(A;B) >= T(A;C): further processing cannot leak more."""
     p_b, p_a = chain.p_b(), chain.p_a()
-    t_ab = t_of(p_b, chain.channel_a_given_b, p_a)
-    t_ac = t_of(chain.p_c, chain.channel_a_given_c(), p_a)
+    t_ab = avg_tv_leakage(p_b, chain.channel_a_given_b, p_a)
+    t_ac = avg_tv_leakage(chain.p_c, chain.channel_a_given_c(), p_a)
     slack = t_ab - t_ac
     return SlackResult(slack >= -CHAIN_TOL, slack)
 
@@ -205,8 +200,8 @@ def is_linkage_consistent(chain: MarkovChain) -> SlackResult:
     """Check T(B;C) >= T(A;C): leakage about a secondary latent variable
     is bounded by leakage about the primary one."""
     p_b, p_a = chain.p_b(), chain.p_a()
-    t_bc = t_of(chain.p_c, chain.channel_b_given_c, p_b)
-    t_ac = t_of(chain.p_c, chain.channel_a_given_c(), p_a)
+    t_bc = avg_tv_leakage(chain.p_c, chain.channel_b_given_c, p_b)
+    t_ac = avg_tv_leakage(chain.p_c, chain.channel_a_given_c(), p_a)
     slack = t_bc - t_ac
     return SlackResult(slack >= -CHAIN_TOL, slack)
 

@@ -42,7 +42,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Pmf:
     """A probability mass function over a finite alphabet.
 
-    Entries must be nonnegative and sum to 1 within ``PROB_ATOL``; the
+    Entries must be finite, nonnegative and sum to 1 within ``PROB_ATOL``; the
     stored vector is renormalized so it sums to 1 exactly.
     """
 
@@ -52,6 +52,8 @@ class Pmf:
         v = np.asarray(self.probs, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("pmf must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("pmf entries must be finite")
         if np.any(v < 0):
             raise NegativeEntry(f"negative entry {v.min():.3g} in pmf")
         s = v.sum()
@@ -82,6 +84,9 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("channel must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(m)):
+            j = int(np.argwhere(~np.isfinite(m))[0][1])
+            raise ValueError(f"non-finite entry in channel column {j}")
         if np.any(m < 0):
             j = int(np.argwhere(m < 0)[0][1])
             raise NegativeEntry(f"negative entry in channel column {j}")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .probability import JointSource, Pmf
 
 FORM_CAP = 20
@@ -39,7 +38,7 @@ class TooManyForms(ValueError):
 
 
 class DegenerateSystem(RuntimeError):
-    """No independent basis found for a nonempty region (internal bug)."""
+    """A region misses p_Y or has no independent basis (internal bug)."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class Region:
 
     ``sign_pattern`` has one entry per retained form; the cost restricted
     to the region is the affine function sum_i sign_i * form_i(x) / 2.
-    Regions produced by ``enumerate_regions`` are certified nonempty.
+    Regions produced by ``enumerate_regions`` are certified to contain p_Y.
     """
 
     sign_pattern: tuple[int, ...]
@@ -102,15 +101,12 @@ class Region:
         return self.a_tilde.shape[1]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -tol) or abs(x.sum() - 1.0) > tol:
-            return False
-        return bool(np.all(self.a_tilde @ x <= self.b_tilde + tol))
+        return self.membership_slack(x) >= -tol
 
     def membership_slack(self, x) -> float:
         """Smallest slack over all constraints; negative means outside."""
         x = np.asarray(x, dtype=float)
-        slacks = [float((self.b_tilde - self.a_tilde @ x).min()),
+        slacks = [float((self.b_tilde - self.a_tilde @ x).min(initial=np.inf)),
                   float(x.min()), -abs(float(x.sum()) - 1.0)]
         return min(slacks)
 
@@ -142,11 +138,10 @@ def _direction_groups(forms: list[LinearForm]) -> list[list[int]]:
 
 
 def enumerate_regions(forms: list[LinearForm], p_y: Pmf) -> list[Region]:
-    """All nonempty sign-pattern regions, in lexicographic pattern order.
+    """All sign-pattern regions, in lexicographic pattern order.
 
-    Every pattern's region contains p_Y itself (all forms vanish there),
-    but each region is still certified by a feasibility check so the
-    nonemptiness invariant never rests on that argument alone.
+    Every pattern's region is nonempty because it contains p_Y (all forms
+    vanish there); p_Y is checked as each region's certificate.
     """
     m = len(forms)
     if m > FORM_CAP:
@@ -154,12 +149,8 @@ def enumerate_regions(forms: list[LinearForm], p_y: Pmf) -> list[Region]:
     n = len(p_y)
     if n > Y_CAP:
         raise TooManyForms(f"|Y| = {n} exceeds the cap of {Y_CAP}")
-    if not forms:
-        a = np.zeros((0, n))
-        return [Region((), a, np.zeros(0))]
 
     groups = _direction_groups(forms)
-    ones = np.ones((1, n))
     regions = []
     for rep_signs in itertools.product((1, -1), repeat=len(groups)):
         signs = [0] * m
@@ -169,11 +160,25 @@ def enumerate_regions(forms: list[LinearForm], p_y: Pmf) -> list[Region]:
         # sign * form(x) >= 0  <=>  -sign * coeffs . x <= sign * offset
         a_tilde = np.array([-s * f.coeffs for s, f in zip(signs, forms)])
         b_tilde = np.array([s * f.offset for s, f in zip(signs, forms)])
-        prob = lp.LpProblem(c=np.zeros(n), a_eq=ones, b_eq=np.array([1.0]),
-                            a_ub=a_tilde, b_ub=b_tilde)
-        if lp.feasible(prob):
-            regions.append(Region(tuple(signs), a_tilde, b_tilde))
+        # reshape keeps a_tilde (0, n) when no form is retained
+        region = Region(tuple(signs), a_tilde.reshape(m, n), b_tilde)
+        if not region.contains(p_y.probs):
+            raise DegenerateSystem(f"region {region.sign_pattern} misses p_Y")
+        regions.append(region)
     return regions
+
+
+def _first_seen_rows(rows: np.ndarray) -> list[int]:
+    """Indices of the rows an in-order dedup keeps.
+
+    A row is dropped when it lies within ``DEDUP_TOL`` in max-abs
+    distance of an earlier kept row, so first-seen coordinates win.
+    """
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        if not kept or np.abs(rows[kept] - row).max(axis=1).min() > DEDUP_TOL:
+            kept.append(i)
+    return kept
 
 
 def region_extreme_points(region: Region) -> list[Pmf]:
@@ -204,29 +209,24 @@ def region_extreme_points(region: Region) -> list[Pmf]:
         x = np.zeros(n + m)
         x[list(cols)] = sol
         point = np.clip(x[:n], 0.0, None)
-        s = point.sum()
-        if s <= 0:
-            continue
-        point = point / s
-        if not any(np.max(np.abs(point - q)) <= DEDUP_TOL for q in points):
-            points.append(point)
+        points.append(point / point.sum())
     if not found_basis:
         raise DegenerateSystem("no independent column basis in region system")
-    return [Pmf(p) for p in points]
+    return [Pmf(points[k]) for k in _first_seen_rows(np.array(points))]
 
 
 @dataclass(frozen=True)
 class SPointSet:
     """The deduplicated union of all regions' extreme points.
 
-    ``region_index[k]`` lists every region whose enumeration produced
-    point k (first-seen coordinates win on near-duplicates), and
-    ``f_values[k]`` caches the privacy cost at the point.
+    Points keep the order in which the regions, taken in pattern order,
+    first produce them; near-duplicates keep the first-seen coordinates.
+    ``f_values[k]`` caches the privacy cost at point k, and
+    ``dropped_rows`` lists the rows of P_{X|Y} that gave no form.
     """
 
     points: list[Pmf]
     f_values: np.ndarray
-    region_index: list[list[int]]
     dropped_rows: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -248,19 +248,7 @@ def enumerate_spoints(src: JointSource,
     kept_rows = {f.row for f in forms}
     dropped = tuple(i for i in range(src.n_x) if i not in kept_rows)
 
-    points: list[Pmf] = []
-    owners: list[list[int]] = []
-    for r_idx, region in enumerate(regions):
-        for pt in region_extreme_points(region):
-            hit = None
-            for k, q in enumerate(points):
-                if np.max(np.abs(pt.probs - q.probs)) <= DEDUP_TOL:
-                    hit = k
-                    break
-            if hit is None:
-                points.append(pt)
-                owners.append([r_idx])
-            elif r_idx not in owners[hit]:
-                owners[hit].append(r_idx)
+    raw = [pt for region in regions for pt in region_extreme_points(region)]
+    points = [raw[k] for k in _first_seen_rows(np.array([p.probs for p in raw]))]
     fvals = np.array([f_value(forms, p.probs) for p in points])
-    return SPointSet(points, fvals, owners, dropped)
+    return SPointSet(points, fvals, dropped)

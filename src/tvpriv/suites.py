@@ -15,16 +15,15 @@ from importlib import resources
 import numpy as np
 
 from . import lp
-from .leakage import (MarkovChain, avg_tv_leakage, is_linkage_consistent,
-                      is_postprocessing_consistent, leakage_report,
-                      lp_linkage_slack)
+from .leakage import (CHAIN_TOL, MarkovChain, avg_tv_leakage,
+                      is_linkage_consistent, is_postprocessing_consistent,
+                      leakage_report, lp_linkage_slack)
 from .probability import Channel, JointSource, Pmf
 from .threats import CostFunction, inference_gain
 
 DEFAULT_SEED = 42
 
 BOUND_TOL = 1e-8
-CHAIN_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 
 

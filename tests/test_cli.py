@@ -62,6 +62,29 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "column 0" in err
 
+    @pytest.mark.parametrize("field, doc", [
+        ("P_x_given_y", {"p_y": [0.5, 0.5],
+                         "P_x_given_y": [[0.5, float("nan")], [0.5, 0.5]]}),
+        ("p_y", {"p_y": [float("nan"), 0.5],
+                 "P_x_given_y": [[0.9, 0.2], [0.1, 0.8]]}),
+    ])
+    def test_nan_entry_names_field(self, tmp_path, capsys, field, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # json writes the NaN literal
+        code = run(["solve", str(bad), "--utility", "mi", "--epsilon", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert "finite" in err
+
+    def test_non_object_document_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        assert run(["solve", str(bad), "--utility", "mi",
+                    "--epsilon", "0.1"]) == 2
+        assert run(["measure", BINARY, "--mechanism", str(bad)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert run(["solve", "/nonexistent.json", "--utility", "mi",
                     "--epsilon", "0.1"]) == 2
@@ -168,7 +191,31 @@ class TestMeasure:
         assert run(["measure", BINARY, "--mechanism", str(mech)]) == 2
 
 
+def assert_same_structure(got, want, path="doc"):
+    """Equal keys, lengths and order; numbers equal within 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_same_structure(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_structure(g, w, f"{path}[{i}]")
+    else:
+        assert got == pytest.approx(want, abs=1e-12, rel=0), path
+
+
 class TestRegionsCommand:
+    # the support-point order fixes the LP's column order, hence Bland's
+    # tie-breaks and the solve output; the committed dumps pin that order
+    @pytest.mark.parametrize("name", ["binary_y_source", "uniform3_source"])
+    def test_matches_committed_dump(self, tmp_path, name):
+        out = tmp_path / "reg.json"
+        assert run(["regions", str(fixture_path(f"{name}.json")),
+                    "--out", str(out)]) == 0
+        want = read_json(Path(__file__).parent / "data" / f"regions_{name}.json")
+        assert_same_structure(read_json(out), want)
+
     def test_uniform3_dump(self, tmp_path):
         out = tmp_path / "reg.json"
         assert run(["regions", UNIFORM3, "--out", str(out)]) == 0

@@ -43,6 +43,12 @@ class TestValidatePmf:
         assert p.probs.min() >= 0
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # every comparison with NaN is false, so no other check catches it
+        with pytest.raises(ValueError, match="finite"):
+            Pmf(np.array([bad, 0.5]))
+
     def test_immutable(self):
         p = validate_pmf([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -53,6 +59,11 @@ class TestChannel:
     def test_column_sum_checked(self):
         with pytest.raises(SumNotOne):
             Channel(np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_column(self, bad):
+        with pytest.raises(ValueError, match="non-finite entry in channel column 1"):
+            Channel(np.array([[0.9, bad], [0.1, 0.8]]))
 
     def test_column_accessor(self):
         ch = Channel(np.array([[0.9, 0.2], [0.1, 0.8]]))

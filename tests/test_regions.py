@@ -6,7 +6,7 @@ import pytest
 from tvpriv import (Channel, JointSource, LinearForm, Pmf, TooManyForms,
                     build_linear_forms, enumerate_regions, enumerate_spoints,
                     f_value, region_extreme_points)
-from tvpriv.regions import Region
+from tvpriv.regions import DEDUP_TOL, Region, _first_seen_rows
 
 from conftest import random_source
 
@@ -170,6 +170,16 @@ class TestRegionExtremePoints:
         assert np.allclose(pts[0], [0.0, 1.0, 0.0], atol=1e-9)
         assert np.allclose(pts[1], [0.5, 0.0, 0.5], atol=1e-9)
 
+    def test_constraint_free_region_membership(self):
+        region = Region((), np.zeros((0, 3)), np.zeros(0))
+        # only the simplex constraints bind: the equality's slack is 0
+        assert region.membership_slack([0.2, 0.3, 0.5]) == pytest.approx(
+            0.0, abs=1e-15)
+        assert region.contains([0.2, 0.3, 0.5])
+        assert region.membership_slack([-0.1, 0.6, 0.5]) == pytest.approx(-0.1)
+        assert not region.contains([-0.1, 0.6, 0.5])
+        assert not region.contains([0.2, 0.3, 0.6])
+
     def test_whole_simplex_gives_unit_vectors(self):
         region = Region((), np.zeros((0, 4)), np.zeros(0))
         pts = region_extreme_points(region)
@@ -189,6 +199,20 @@ class TestRegionExtremePoints:
 
 
 class TestEnumerateSPoints:
+    def test_dedup_matches_pairwise_scan(self):
+        rng = np.random.default_rng(127)
+        base = rng.dirichlet(np.ones(4), size=12)
+        shift = rng.choice([0.0, 5e-10, 3e-9], size=(60, 1))
+        rows = base[rng.integers(0, 12, size=60)] + shift
+        kept = []
+        for i, row in enumerate(rows):
+            if not any(np.max(np.abs(row - rows[k])) <= DEDUP_TOL
+                       for k in kept):
+                kept.append(i)
+        assert _first_seen_rows(rows) == kept
+        # 3e-9 shifts are new points, 5e-10 shifts merge with their twin
+        assert 12 < len(kept) < 60
+
     def test_binary_structure(self, binary_source):
         sp = enumerate_spoints(binary_source)
         assert same_point_set([p.probs for p in sp.points],
@@ -211,14 +235,14 @@ class TestEnumerateSPoints:
         assert got == sorted(tuple(v) for v in np.eye(3))
         assert np.all(sp.f_values == 0.0)
 
-    def test_every_point_owned_and_feasible(self, uniform3_source):
-        forms = build_linear_forms(uniform3_source)
-        regions = enumerate_regions(forms, uniform3_source.p_y)
-        sp = enumerate_spoints(uniform3_source, forms=forms, regions=regions)
-        for point, owners in zip(sp.points, sp.region_index):
-            assert owners
-            for r_idx in owners:
-                assert regions[r_idx].membership_slack(point.probs) >= -1e-9
+    def test_every_point_in_some_region(self, uniform3_source, binary_source):
+        for src in (uniform3_source, binary_source):
+            forms = build_linear_forms(src)
+            regions = enumerate_regions(forms, src.p_y)
+            sp = enumerate_spoints(src, forms=forms, regions=regions)
+            for point in sp.points:
+                best = max(r.membership_slack(point.probs) for r in regions)
+                assert best >= -1e-9
 
 
 class TestGeometricInvariants:
@@ -227,6 +251,12 @@ class TestGeometricInvariants:
         out = [random_source(rng, nx, ny)
                for nx, ny in [(2, 2), (3, 2), (3, 3), (4, 3), (5, 2)]]
         return out
+
+    def test_every_region_contains_prior(self):
+        for src in self._sources():
+            regions = enumerate_regions(build_linear_forms(src), src.p_y)
+            for region in regions:
+                assert region.contains(src.p_y.probs)
 
     def test_coverage_of_random_samples(self):
         rng = np.random.default_rng(103)
