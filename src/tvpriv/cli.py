@@ -27,7 +27,7 @@ from .leakage import LeakageReport, leakage_report
 from .probability import (Channel, JointSource, Mechanism, Pmf, compose,
                           marginal_x)
 from .regions import (TooManyForms, build_linear_forms, enumerate_regions,
-                      enumerate_spoints, region_extreme_points)
+                      merge_extreme_points, region_extreme_points)
 from .threats import CostFunction, inference_gain
 from .tradeoff import UtilityKind, solve_tradeoff, sweep_curve, t_xy
 
@@ -88,17 +88,23 @@ def load_source(path: str) -> JointSource:
             raise SourceFileError(f"{path}: missing required field '{key}'")
     try:
         p_y = Pmf(np.asarray(raw["p_y"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SourceFileError(f"{path}: field 'p_y': {exc}") from exc
 
     try:
         channel = Channel(np.asarray(raw["P_x_given_y"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SourceFileError(f"{path}: field 'P_x_given_y': {exc}") from exc
     try:
-        return JointSource(p_y, channel, raw.get("y_values"))
+        src = JointSource(p_y, channel)
     except ValueError as exc:
         raise SourceFileError(f"{path}: {exc}") from exc
+    if raw.get("y_values") is None:
+        return src
+    try:
+        return JointSource(p_y, channel, np.asarray(raw["y_values"], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise SourceFileError(f"{path}: field 'y_values': {exc}") from exc
 
 
 def load_mechanism(path: str, n_y: int) -> Mechanism:
@@ -202,17 +208,17 @@ def cmd_regions(args) -> int:
     src = load_source(args.source)
     forms = build_linear_forms(src)
     regions = enumerate_regions(forms, src.p_y)
-    spoints = enumerate_spoints(src, forms=forms, regions=regions)
+    region_points = [region_extreme_points(region) for region in regions]
+    spoints = merge_extreme_points(src, forms, region_points)
     doc = {
         "regions": [
             {
                 "sign_pattern": list(region.sign_pattern),
                 "A_tilde": region.a_tilde.tolist(),
                 "b_tilde": region.b_tilde.tolist(),
-                "extreme_points": [p.probs.tolist()
-                                   for p in region_extreme_points(region)],
+                "extreme_points": [p.probs.tolist() for p in points],
             }
-            for region in regions
+            for region, points in zip(regions, region_points)
         ],
         "spoints": [
             {"point": p.probs.tolist(), "f_value": float(v)}

@@ -10,7 +10,11 @@ r_i . (x - p_Y) partitions the simplex into at most 2^m polytopes on
 which f is affine, and the optimal release mechanism only ever needs
 posteriors drawn from the extreme points of those polytopes.  This
 module enumerates the regions and their extreme points via basic
-feasible solutions of the slack-augmented equality systems.
+feasible solutions of the slack-augmented equality systems.  Each
+region's candidate bases are gathered into stacked batches of at most
+about ``_BATCH_BYTES`` of matrices, and every batch gets one rank test
+and one solve; numpy runs the same LAPACK routine on each matrix of a
+stack, so the points are bitwise those of a one-basis-at-a-time loop.
 
 Enumeration cost is Theta(2^m * C(n+m, m+1)) and grows exponentially in
 the number of secret symbols, so hard caps reject oversized inputs
@@ -31,6 +35,12 @@ Y_CAP = 10
 DEDUP_TOL = 1e-9
 RANK_TOL = 1e-10
 ZERO_FORM_TOL = 1e-10
+# forms are rows of a stochastic matrix, so entries lie in [0, 1]; this
+# only absorbs the rounding of rescaling one such row onto another
+DIRECTION_TOL = 1e-12
+# one batch of candidate bases holds about this many bytes of matrices, so
+# memory stays bounded at the caps (m = 20, |Y| = 10: C(30, 21) ~ 14M bases)
+_BATCH_BYTES = 1 << 20
 
 
 class TooManyForms(ValueError):
@@ -127,7 +137,7 @@ def _direction_groups(forms: list[LinearForm]) -> list[list[int]]:
         placed = False
         for g, rep in enumerate(reps):
             scale = np.dot(rep, v) / np.dot(rep, rep)
-            if scale > 0 and np.max(np.abs(v - scale * rep)) <= 1e-12:
+            if scale > 0 and np.max(np.abs(v - scale * rep)) <= DIRECTION_TOL:
                 groups[g].append(idx)
                 placed = True
                 break
@@ -188,31 +198,47 @@ def region_extreme_points(region: Region) -> list[Pmf]:
     simplex equality the augmented system A' x' = b', x' >= 0 has full
     row rank, and its basic feasible solutions (invertible column bases
     with nonnegative solution) project exactly onto the region vertices.
+
+    The (m+1)-column subsets are taken in ``itertools.combinations``
+    order, in batches of about ``_BATCH_BYTES`` of stacked basis
+    matrices; each batch gets one rank test and one solve over its
+    full-rank members.  Points keep that order and are deduplicated
+    first-seen.
     """
     m, n = region.n_constraints, region.dim
-    aug = np.zeros((m + 1, n + m))
+    k = m + 1
+    aug = np.zeros((k, n + m))
     aug[:m, :n] = region.a_tilde
     aug[:m, n:] = np.eye(m)
     aug[m, :n] = 1.0
     rhs = np.concatenate([region.b_tilde, [1.0]])
 
-    points: list[np.ndarray] = []
+    batch = max(1, _BATCH_BYTES // (8 * k * k))
+    subsets = itertools.combinations(range(n + m), k)
+    points = [np.empty((0, n))]
     found_basis = False
-    for cols in itertools.combinations(range(n + m), m + 1):
-        sub = aug[:, cols]
-        if np.linalg.matrix_rank(sub, tol=RANK_TOL) < m + 1:
-            continue
-        found_basis = True
-        sol = np.linalg.solve(sub, rhs)
-        if sol.min() < -DEDUP_TOL:
-            continue
-        x = np.zeros(n + m)
-        x[list(cols)] = sol
-        point = np.clip(x[:n], 0.0, None)
-        points.append(point / point.sum())
+    while True:
+        cols = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, batch)),
+            dtype=np.intp).reshape(-1, k)
+        if not len(cols):
+            break
+        stack = aug[:, cols].transpose(1, 0, 2)   # stack[b] = aug[:, cols[b]]
+        full = np.linalg.matrix_rank(stack, tol=RANK_TOL) == k
+        found_basis = found_basis or bool(full.any())
+        cols = cols[full]
+        # a (1, k, 1) right-hand side means one column per system on every
+        # numpy version; a 1-D one broadcasts only from numpy 2 on
+        sols = np.linalg.solve(stack[full], rhs[None, :, None])[:, :, 0]
+        feasible = sols.min(axis=1) >= -DEDUP_TOL
+        x = np.zeros((int(feasible.sum()), n + m))
+        np.put_along_axis(x, cols[feasible], sols[feasible], axis=1)
+        pts = np.clip(x[:, :n], 0.0, None)
+        points.append(pts / pts.sum(axis=1, keepdims=True))
     if not found_basis:
         raise DegenerateSystem("no independent column basis in region system")
-    return [Pmf(points[k]) for k in _first_seen_rows(np.array(points))]
+    points = np.concatenate(points)
+    return [Pmf(points[i]) for i in _first_seen_rows(points)]
 
 
 @dataclass(frozen=True)
@@ -237,18 +263,24 @@ class SPointSet:
         return np.array([p.probs for p in self.points]).T
 
 
-def enumerate_spoints(src: JointSource,
-                      forms: list[LinearForm] | None = None,
-                      regions: list[Region] | None = None) -> SPointSet:
+def enumerate_spoints(src: JointSource) -> SPointSet:
     """Build the sufficient support set for optimal release posteriors."""
-    if forms is None:
-        forms = build_linear_forms(src)
-    if regions is None:
-        regions = enumerate_regions(forms, src.p_y)
+    forms = build_linear_forms(src)
+    regions = enumerate_regions(forms, src.p_y)
+    return merge_extreme_points(
+        src, forms, [region_extreme_points(region) for region in regions])
+
+
+def merge_extreme_points(src: JointSource, forms: list[LinearForm],
+                         region_points: list[list[Pmf]]) -> SPointSet:
+    """The support set from each region's extreme points, in region order.
+
+    For callers that also need the per-region points, so that each
+    region's points are computed once.
+    """
     kept_rows = {f.row for f in forms}
     dropped = tuple(i for i in range(src.n_x) if i not in kept_rows)
-
-    raw = [pt for region in regions for pt in region_extreme_points(region)]
+    raw = [pt for pts in region_points for pt in pts]
     points = [raw[k] for k in _first_seen_rows(np.array([p.probs for p in raw]))]
     fvals = np.array([f_value(forms, p.probs) for p in points])
     return SPointSet(points, fvals, dropped)

@@ -10,6 +10,7 @@ import pytest
 import tvpriv
 from tvpriv import (Channel, Mechanism, Pmf, avg_tv_leakage, compose,
                     marginal_x, mutual_information)
+from tvpriv import cli, regions
 from tvpriv.cli import main
 from tvpriv.suites import fixture_path
 
@@ -108,7 +109,37 @@ class TestSolve:
         }))
         assert run(["solve", str(src), "--utility", "mmse",
                     "--epsilon", "0.1"]) == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "field 'y_values'" in err
+        assert "finite" in err
+
+    @pytest.mark.parametrize("field", ["p_y", "P_x_given_y", "y_values"])
+    def test_non_numeric_field_named(self, tmp_path, capsys, field):
+        doc = {"p_y": [0.4, 0.6], "P_x_given_y": [[0.9, 0.2], [0.1, 0.8]]}
+        doc[field] = {"a": 1}
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(doc))
+        assert run(["solve", str(src), "--utility", "mi",
+                    "--epsilon", "0.1"]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("y_values, reason", [
+        ("ab", "could not convert"),
+        ([1.0, 2.0, 3.0], "length"),
+        ([2.0, 2.0], "distinct"),
+    ])
+    def test_bad_y_values_name_field(self, tmp_path, capsys, y_values, reason):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps({
+            "p_y": [0.4, 0.6],
+            "P_x_given_y": [[0.9, 0.2], [0.1, 0.8]],
+            "y_values": y_values,
+        }))
+        assert run(["solve", str(src), "--utility", "mmse",
+                    "--epsilon", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'y_values'" in err
+        assert reason in err
 
 
 class TestImportCost:
@@ -215,6 +246,22 @@ class TestRegionsCommand:
                     "--out", str(out)]) == 0
         want = read_json(Path(__file__).parent / "data" / f"regions_{name}.json")
         assert_same_structure(read_json(out), want)
+
+    def test_each_region_enumerated_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = regions.region_extreme_points
+
+        def counted(region):
+            calls.append(region.sign_pattern)
+            return original(region)
+
+        monkeypatch.setattr(regions, "region_extreme_points", counted)
+        monkeypatch.setattr(cli, "region_extreme_points", counted)
+        out = tmp_path / "reg.json"
+        assert run(["regions", BINARY, "--out", str(out)]) == 0
+        patterns = [r["sign_pattern"] for r in read_json(out)["regions"]]
+        assert len(patterns) == 8
+        assert [list(p) for p in calls] == patterns
 
     def test_uniform3_dump(self, tmp_path):
         out = tmp_path / "reg.json"

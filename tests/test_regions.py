@@ -6,7 +6,9 @@ import pytest
 from tvpriv import (Channel, JointSource, LinearForm, Pmf, TooManyForms,
                     build_linear_forms, enumerate_regions, enumerate_spoints,
                     f_value, region_extreme_points)
-from tvpriv.regions import DEDUP_TOL, Region, _first_seen_rows
+from tvpriv import regions as regions_module
+from tvpriv.regions import (DEDUP_TOL, RANK_TOL, DegenerateSystem, Region,
+                            _first_seen_rows)
 
 from conftest import random_source
 
@@ -22,6 +24,37 @@ def same_point_set(points, expected, tol=1e-9):
         return False
     return all(any(np.max(np.abs(p - e)) <= tol for p in points)
                for e in expected)
+
+
+def per_basis_extreme_points(region):
+    """Reference loop: one rank test and one solve per column subset.
+
+    Returns the points as rows, in the order ``region_extreme_points``
+    must return them, and the number of rank-deficient subsets.
+    """
+    m, n = region.n_constraints, region.dim
+    aug = np.zeros((m + 1, n + m))
+    aug[:m, :n] = region.a_tilde
+    aug[:m, n:] = np.eye(m)
+    aug[m, :n] = 1.0
+    rhs = np.concatenate([region.b_tilde, [1.0]])
+
+    points = []
+    singular = 0
+    for cols in itertools.combinations(range(n + m), m + 1):
+        sub = aug[:, cols]
+        if np.linalg.matrix_rank(sub, tol=RANK_TOL) < m + 1:
+            singular += 1
+            continue
+        sol = np.linalg.solve(sub, rhs)
+        if sol.min() < -DEDUP_TOL:
+            continue
+        x = np.zeros(n + m)
+        x[list(cols)] = sol
+        point = np.clip(x[:n], 0.0, None)
+        points.append(point / point.sum())
+    kept = [Pmf(points[k]).probs for k in _first_seen_rows(np.array(points))]
+    return np.array(kept), singular
 
 
 class TestBuildLinearForms:
@@ -198,6 +231,45 @@ class TestRegionExtremePoints:
         assert union == {(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)}
 
 
+class TestBatchedBases:
+    def _regions(self, uniform3_source, shapes):
+        rng = np.random.default_rng(131)
+        out = [Region((), np.zeros((0, 4)), np.zeros(0))]
+        forms = build_linear_forms(uniform3_source)
+        out += [r for r in enumerate_regions(forms, uniform3_source.p_y)
+                if r.sign_pattern == (1, 1)]
+        for nx, ny in shapes:
+            src = random_source(rng, nx, ny)
+            out += enumerate_regions(build_linear_forms(src), src.p_y)
+        return out
+
+    def _assert_matches_loop(self, regions):
+        singular = 0
+        for region in regions:
+            want, n_singular = per_basis_extreme_points(region)
+            singular += n_singular
+            got = np.array([p.probs for p in region_extreme_points(region)])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert singular > 0
+
+    def test_bitwise_equal_to_per_basis_loop(self, uniform3_source):
+        self._assert_matches_loop(
+            self._regions(uniform3_source, [(4, 4), (5, 5), (6, 6)]))
+
+    @pytest.mark.parametrize("batch_bytes", [1, 600])
+    def test_small_batches(self, uniform3_source, monkeypatch, batch_bytes):
+        # 1 byte means one subset per batch, so the degenerate segment runs
+        # batches with no full-rank subset; 600 bytes gives 3 to 75 subsets
+        monkeypatch.setattr(regions_module, "_BATCH_BYTES", batch_bytes)
+        self._assert_matches_loop(self._regions(uniform3_source, [(4, 4)]))
+
+    def test_no_basis_raises(self, monkeypatch):
+        monkeypatch.setattr(regions_module, "_BATCH_BYTES", 1)
+        with pytest.raises(DegenerateSystem):
+            region_extreme_points(Region((), np.zeros((0, 0)), np.zeros(0)))
+
+
 class TestEnumerateSPoints:
     def test_dedup_matches_pairwise_scan(self):
         rng = np.random.default_rng(127)
@@ -239,7 +311,7 @@ class TestEnumerateSPoints:
         for src in (uniform3_source, binary_source):
             forms = build_linear_forms(src)
             regions = enumerate_regions(forms, src.p_y)
-            sp = enumerate_spoints(src, forms=forms, regions=regions)
+            sp = enumerate_spoints(src)
             for point in sp.points:
                 best = max(r.membership_slack(point.probs) for r in regions)
                 assert best >= -1e-9
