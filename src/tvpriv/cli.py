@@ -112,18 +112,24 @@ def load_mechanism(path: str, n_y: int) -> Mechanism:
     raw = _read_json(path)
     if "mechanism" in raw:
         raw = raw["mechanism"]
+        if not isinstance(raw, dict):
+            raise SourceFileError(f"{path}: field 'mechanism' must be a JSON object")
     if "p_u_given_y" not in raw:
         raise SourceFileError(f"{path}: missing required field 'p_u_given_y'")
-    matrix = np.asarray(raw["p_u_given_y"], dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != n_y:
-        raise SourceFileError(
-            f"{path}: field 'p_u_given_y' must have {n_y} columns")
     try:
-        labels = raw.get("u_labels")
-        return Mechanism(Channel(matrix),
-                         None if labels is None else np.asarray(labels, float))
-    except ValueError as exc:
+        matrix = np.asarray(raw["p_u_given_y"], dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != n_y:
+            raise ValueError(f"must have {n_y} columns")
+        channel = Channel(matrix)
+    except (TypeError, ValueError) as exc:
         raise SourceFileError(f"{path}: field 'p_u_given_y': {exc}") from exc
+    labels = raw.get("u_labels")
+    if labels is None:
+        return Mechanism(channel)
+    try:
+        return Mechanism(channel, np.asarray(labels, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise SourceFileError(f"{path}: field 'u_labels': {exc}") from exc
 
 
 def _mechanism_arg(args, n_y: int) -> Mechanism:

@@ -7,6 +7,14 @@ machinery and is deterministic, so identical problems always return the
 identical basis.  Instances produced in this package have at most a few
 hundred columns, where a dense tableau is the simplest correct choice.
 
+A problem's constraints are put in standard form once, by
+:func:`standard_form`; :meth:`StandardForm.solve` then runs the simplex
+for any right-hand side from the same initial tableau, so a caller that
+varies only ``b`` (a trade-off curve varies its budget entry) builds and
+validates the matrices once and gets the pivots, and bits, of
+:func:`solve`.  Dual multipliers are solved from the final basis only
+when ``LpSolution.dual`` is first read.
+
 The solver reports infeasible and unbounded outcomes as statuses, not
 exceptions: a zero privacy budget combined with incompatible marginal
 constraints must surface as an ordinary infeasible result to the caller.
@@ -14,7 +22,8 @@ constraints must surface as an ordinary infeasible result to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,31 +87,30 @@ class LpSolution:
     weights: np.ndarray | None = None
     value: float | None = None
     basis: tuple[int, ...] = ()
-    dual: np.ndarray | None = None  # one multiplier per original row (eq rows first)
+    # (form, kept rows, basic column of each kept row) for ``dual``
+    _final_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.status == OPTIMAL
 
+    @cached_property
+    def dual(self) -> np.ndarray | None:
+        """One multiplier per original row (eq rows first), or None.
 
-def _standard_form(p: LpProblem):
-    """Append slacks for the <= block; returns (A, b, c_std, n_struct)."""
-    blocks, rhs = [], []
-    n = p.n_vars
-    n_ub = 0 if p.a_ub is None else p.a_ub.shape[0]
-    if p.a_eq is not None:
-        blocks.append(np.hstack([p.a_eq, np.zeros((p.a_eq.shape[0], n_ub))]))
-        rhs.append(p.b_eq)
-    if p.a_ub is not None:
-        blocks.append(np.hstack([p.a_ub, np.eye(n_ub)]))
-        rhs.append(p.b_ub)
-    if not blocks:
-        a = np.zeros((0, n))
-        b = np.zeros(0)
-    else:
-        a = np.vstack(blocks)
-        b = np.concatenate(rhs)
-    c = np.concatenate([p.c, np.zeros(n_ub)])
-    return a, b, c, n
+        Solved from the final basis on first read: B^T y = c_B over the
+        original (unflipped) rows phase one kept, zero for dropped
+        redundant rows.  None unless optimal, or if B is singular.
+        """
+        if self._final_basis is None:
+            return None
+        form, kept_rows, basis = self._final_basis
+        y = np.zeros(form.a.shape[0])
+        bmat = form.a[kept_rows][:, basis]
+        try:
+            y[kept_rows] = np.linalg.solve(bmat.T, form.c[np.array(basis, dtype=int)])
+        except np.linalg.LinAlgError:
+            return None
+        return y
 
 
 def _bland_simplex(tab: np.ndarray, basis: list[int], n_cols: int) -> str:
@@ -195,55 +203,87 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     return body, kept_basis, kept_original
 
 
+@dataclass(frozen=True)
+class StandardForm:
+    """One problem's constraints as ``A x = b, x >= 0``, right-hand side apart.
+
+    Rows are the equality rows, then the inequality rows with one slack
+    column each; ``c`` is zero on the slacks.  Built once by
+    :func:`standard_form`, it solves any right-hand side ``b`` (``b_eq``
+    then ``b_ub``) from the same initial tableau, so equal inputs pivot
+    identically to :func:`solve`.
+    """
+
+    a: np.ndarray
+    c: np.ndarray
+    n_struct: int
+
+    def solve(self, b) -> LpSolution:
+        """Solve to a basic optimal solution (deterministic Bland pivoting)."""
+        a, c, n_struct = self.a, self.c, self.n_struct
+        m, n = a.shape
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
+
+        if m == 0:
+            # only x >= 0 remains; bounded iff c >= 0, optimum at the origin
+            if np.any(c < -PIVOT_TOL):
+                return LpSolution(status=UNBOUNDED)
+            x = np.zeros(n)
+            return LpSolution(OPTIMAL, x[:n_struct], 0.0, (), (self, [], []))
+
+        phase1 = _phase_one(a, b)
+        if phase1 is None:
+            return LpSolution(status=INFEASIBLE)
+        body, basis, kept_rows = phase1
+        mk = body.shape[0]
+
+        tab = np.zeros((mk + 1, n + 1))
+        tab[:mk, :] = body
+        tab[-1, :n] = c
+        for i, bi in enumerate(basis):
+            if c[bi] != 0.0:
+                tab[-1, :] -= c[bi] * tab[i, :]
+
+        status = _bland_simplex(tab, basis, n)
+        if status != OPTIMAL:
+            return LpSolution(status=UNBOUNDED)
+
+        x = np.zeros(n)
+        for i, bi in enumerate(basis):
+            x[bi] = max(tab[i, -1], 0.0)
+        value = float(np.dot(c, x))
+        return LpSolution(OPTIMAL, x[:n_struct], value, tuple(sorted(basis)),
+                          (self, kept_rows, basis))
+
+
+def standard_form(p: LpProblem) -> StandardForm:
+    """Append slacks for the <= block."""
+    blocks = []
+    n = p.n_vars
+    n_ub = 0 if p.a_ub is None else p.a_ub.shape[0]
+    if p.a_eq is not None:
+        blocks.append(np.hstack([p.a_eq, np.zeros((p.a_eq.shape[0], n_ub))]))
+    if p.a_ub is not None:
+        blocks.append(np.hstack([p.a_ub, np.eye(n_ub)]))
+    a = np.vstack(blocks) if blocks else np.zeros((0, n))
+    return StandardForm(a, np.concatenate([p.c, np.zeros(n_ub)]), n)
+
+
+def _rhs(p: LpProblem) -> np.ndarray:
+    parts = [b for b in (p.b_eq, p.b_ub) if b is not None]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
 def solve(p: LpProblem) -> LpSolution:
     """Solve to a basic optimal solution (deterministic Bland pivoting)."""
-    a, b, c, n_struct = _standard_form(p)
-    m, n = a.shape
-
-    if m == 0:
-        # only x >= 0 remains; bounded iff c >= 0, optimum at the origin
-        if np.any(c < -PIVOT_TOL):
-            return LpSolution(status=UNBOUNDED)
-        x = np.zeros(n)
-        return LpSolution(OPTIMAL, x[:n_struct], 0.0, (), np.zeros(0))
-
-    phase1 = _phase_one(a, b)
-    if phase1 is None:
-        return LpSolution(status=INFEASIBLE)
-    body, basis, kept_rows = phase1
-    mk = body.shape[0]
-
-    tab = np.zeros((mk + 1, n + 1))
-    tab[:mk, :] = body
-    tab[-1, :n] = c
-    for i, bi in enumerate(basis):
-        if c[bi] != 0.0:
-            tab[-1, :] -= c[bi] * tab[i, :]
-
-    status = _bland_simplex(tab, basis, n)
-    if status != OPTIMAL:
-        return LpSolution(status=UNBOUNDED)
-
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = max(tab[i, -1], 0.0)
-    value = float(np.dot(c, x))
-
-    # dual multipliers from the final basis: B^T y = c_B over the original
-    # (unflipped) rows, zero for dropped redundant rows
-    y = np.zeros(m)
-    bmat = a[kept_rows][:, basis]
-    try:
-        y[kept_rows] = np.linalg.solve(bmat.T, c[np.array(basis, dtype=int)])
-    except np.linalg.LinAlgError:
-        y = None
-
-    return LpSolution(OPTIMAL, x[:n_struct], value, tuple(sorted(basis)), y)
+    return standard_form(p).solve(_rhs(p))
 
 
 def feasible(p: LpProblem) -> bool:
     """Phase-one feasibility test: does any x >= 0 satisfy the constraints?"""
-    a, b, _, _ = _standard_form(p)
+    a = standard_form(p).a
     if a.shape[0] == 0:
         return True
-    return _phase_one(a, b) is not None
+    return _phase_one(a, _rhs(p)) is not None

@@ -33,7 +33,11 @@ class DimensionMismatch(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+    return _frozen(np.array(a, dtype=float, copy=True))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array, owned by no caller, read-only."""
     a.flags.writeable = False
     return a
 
@@ -52,14 +56,15 @@ class Pmf:
         v = np.asarray(self.probs, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("pmf must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("pmf entries must be finite")
-        if np.any(v < 0):
-            raise NegativeEntry(f"negative entry {v.min():.3g} in pmf")
-        s = v.sum()
-        if abs(s - 1.0) > PROB_ATOL:
+        ok = v.min() >= 0  # false for a NaN or -inf entry
+        s = v.sum() if ok else None
+        if not ok or abs(s - 1.0) > PROB_ATOL:  # an inf entry fails here
+            if not np.all(np.isfinite(v)):
+                raise ValueError("pmf entries must be finite")
+            if np.any(v < 0):
+                raise NegativeEntry(f"negative entry {v.min():.3g} in pmf")
             raise SumNotOne(f"pmf sums to {s!r}, not 1 (tolerance {PROB_ATOL})")
-        object.__setattr__(self, "probs", _readonly(v / s))
+        object.__setattr__(self, "probs", _frozen(v / s))
 
     @property
     def alphabet_size(self) -> int:
@@ -84,18 +89,18 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("channel must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(m)):
-            j = int(np.argwhere(~np.isfinite(m))[0][1])
-            raise ValueError(f"non-finite entry in channel column {j}")
-        if np.any(m < 0):
-            j = int(np.argwhere(m < 0)[0][1])
-            raise NegativeEntry(f"negative entry in channel column {j}")
-        sums = m.sum(axis=0)
-        bad = np.abs(sums - 1.0) > PROB_ATOL
-        if np.any(bad):
-            j = int(np.argmax(bad))
+        ok = m.min() >= 0  # false for a NaN or -inf entry
+        sums = m.sum(axis=0) if ok else None
+        if not ok or np.any(np.abs(sums - 1.0) > PROB_ATOL):  # or an inf entry
+            if not np.all(np.isfinite(m)):
+                j = int(np.argwhere(~np.isfinite(m))[0][1])
+                raise ValueError(f"non-finite entry in channel column {j}")
+            if np.any(m < 0):
+                j = int(np.argwhere(m < 0)[0][1])
+                raise NegativeEntry(f"negative entry in channel column {j}")
+            j = int(np.argmax(np.abs(sums - 1.0) > PROB_ATOL))
             raise SumNotOne(f"channel column {j} sums to {sums[j]!r}, not 1")
-        object.__setattr__(self, "matrix", _readonly(m / sums))
+        object.__setattr__(self, "matrix", _frozen(m / sums))
 
     @property
     def n_outputs(self) -> int:

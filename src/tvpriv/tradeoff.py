@@ -167,15 +167,14 @@ def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
 @dataclass(frozen=True)
 class _TradeoffLp:
     """The budget-independent part of the trade-off LP for one source and
-    utility; ``cols`` is None when no retained form costs leakage."""
+    utility; ``form`` is None when no retained form costs leakage."""
 
     kind: UtilityKind
     spoints: SPointSet
     p_y: np.ndarray
     t_cap: float
     h_y: float
-    cols: np.ndarray | None    # support points as columns (|Y| x K)
-    phi: np.ndarray | None     # objective cost per column
+    form: lp.StandardForm | None  # the LP's rows, budget row last
 
     def clamp(self, eps: float) -> float:
         return min(max(float(eps), 0.0), self.t_cap)
@@ -189,12 +188,16 @@ def _prepare_lp(src: JointSource, kind: UtilityKind,
     t_cap = t_xy(src)
     if spoints is None:
         spoints = enumerate_spoints(src)
-    cols = phi = None
-    if spoints.f_values.size and np.any(spoints.f_values > 0):
+    form = None
+    f_values = spoints.f_values
+    if f_values.size and np.any(f_values > 0):
         cols = spoints.as_matrix()
-        phi = _phi(kind, cols, src)
+        # the budget entry of b_ub is set per solve by ``_solve_lp``
+        form = lp.standard_form(lp.LpProblem(
+            c=_phi(kind, cols, src), a_eq=cols, b_eq=src.p_y.probs,
+            a_ub=f_values[None, :], b_ub=np.zeros(1)))
     return _TradeoffLp(kind, spoints, src.p_y.probs, t_cap,
-                       entropy(src.p_y), cols, phi)
+                       entropy(src.p_y), form)
 
 
 def _solve_lp(prep: _TradeoffLp,
@@ -204,17 +207,14 @@ def _solve_lp(prep: _TradeoffLp,
     Without a costly form (X independent of Y) any release is free, so
     the value is that of releasing Y itself and ``weights`` is None.
     """
-    if prep.cols is None:
+    if prep.form is None:
         full = prep.h_y if prep.kind == UtilityKind.MUTUAL_INFORMATION else 0.0
         return full, 0.0, None
-    f_values = prep.spoints.f_values
-    sol = lp.solve(lp.LpProblem(c=prep.phi, a_eq=prep.cols, b_eq=prep.p_y,
-                                a_ub=f_values[None, :],
-                                b_ub=np.array([eps_eff])))
+    sol = prep.form.solve(np.append(prep.p_y, eps_eff))
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"trade-off LP returned status {sol.status!r}")
     value = _value_from_lp(prep.kind, sol.value, prep.h_y)
-    return value, float(np.dot(sol.weights, f_values)), sol.weights
+    return value, float(np.dot(sol.weights, prep.spoints.f_values)), sol.weights
 
 
 def solve_tradeoff(src: JointSource, kind: UtilityKind, eps: float,
@@ -241,10 +241,11 @@ def sweep_curve(src: JointSource, kind: UtilityKind,
                 grid_size: int) -> list[TradeoffPoint]:
     """Solve an even budget grid over [0, T(X;Y)] and return the curve.
 
-    One LP is built per curve: the support set, costs and constraint
-    columns are computed once and only the budget changes between grid
-    points.  Each point equals ``solve_tradeoff`` at the same budget;
-    no mechanism is assembled.
+    One LP is built per curve: the support set, costs and the LP's
+    standard form are computed once, and each grid point sets only the
+    budget entry of the right-hand side.  Every point is a cold solve from
+    the same initial tableau, so it equals ``solve_tradeoff`` at the same
+    budget exactly; no mechanism is assembled and no duals are computed.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")

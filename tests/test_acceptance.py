@@ -34,6 +34,7 @@ def report(num: int, label: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {num} failed: {label} {suffix}"
 
 
+@pytest.mark.slow
 def test_criterion_1_closed_form_lp_equivalence():
     rng = np.random.default_rng(1001)
     start = time.time()
@@ -165,6 +166,7 @@ def _entropy_columns(cols: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
+@pytest.mark.slow
 def test_criterion_7_grid_search_never_beats_lp():
     # every mechanism whose posteriors sit on a 0.02-step simplex grid is
     # a feasible point of one scipy-solved program per budget, so its

@@ -221,6 +221,38 @@ class TestMeasure:
                                                     [0.0, 1.0, 1.0]]}))
         assert run(["measure", BINARY, "--mechanism", str(mech)]) == 2
 
+    @pytest.mark.parametrize("doc, field, reason", [
+        ({"p_u_given_y": {"a": 1}}, "p_u_given_y", "not 'dict'"),
+        ({"p_u_given_y": "ab"}, "p_u_given_y", "could not convert"),
+        ({"p_u_given_y": [[1.0, 0.0], [0.0]]}, "p_u_given_y", "inhomogeneous"),
+        ({"p_u_given_y": [[0.5, 0.5], [0.6, 0.5]]}, "p_u_given_y", "sums to"),
+        ({"p_u_given_y": [[1.0, 0.0], [0.0, 1.0]], "u_labels": [1.0]},
+         "u_labels", "length"),
+        ({"p_u_given_y": [[1.0, 0.0], [0.0, 1.0]], "u_labels": {"a": 1}},
+         "u_labels", "not 'dict'"),
+        ({"p_u_given_y": [[1.0, 0.0], [0.0, 1.0]], "u_labels": "ab"},
+         "u_labels", "could not convert"),
+        ({"mechanism": 5}, "mechanism", "JSON object"),
+        ({"mechanism": "p_u_given_y"}, "mechanism", "JSON object"),
+    ], ids=["matrix_dict", "matrix_string", "matrix_ragged", "matrix_sum",
+            "labels_length", "labels_dict", "labels_string", "mechanism_int",
+            "mechanism_string"])
+    def test_bad_mechanism_field_named(self, tmp_path, capsys, doc, field,
+                                       reason):
+        mech = tmp_path / "mech.json"
+        mech.write_text(json.dumps(doc))
+        assert run(["measure", BINARY, "--mechanism", str(mech)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert reason in err
+
+    def test_mechanism_labels_loaded(self, tmp_path):
+        mech = tmp_path / "mech.json"
+        mech.write_text(json.dumps({"p_u_given_y": [[1.0, 0.0], [0.0, 1.0]],
+                                    "u_labels": [2.0, -1.0]}))
+        loaded = cli.load_mechanism(str(mech), 2)
+        assert np.array_equal(loaded.u_labels, [2.0, -1.0])
+
 
 def assert_same_structure(got, want, path="doc"):
     """Equal keys, lengths and order; numbers equal within 1e-12."""

@@ -54,6 +54,30 @@ class TestValidatePmf:
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
+    def test_probs_are_the_normalised_input_bitwise(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 12):
+            v = rng.dirichlet(np.ones(n)) * (1 + rng.uniform(-5e-10, 5e-10))
+            p = Pmf(v)
+            assert np.array_equal(p.probs, v / v.sum())
+            assert not p.probs.flags.writeable
+            v[0] += 1.0  # the stored vector is not a view of the input
+            assert p.probs[0] != v[0]
+
+    @pytest.mark.parametrize("raw, exc, message", [
+        ([np.nan, 0.5], ValueError, "pmf entries must be finite"),
+        ([-np.inf, 0.5], ValueError, "pmf entries must be finite"),
+        ([np.inf, -0.5], ValueError, "pmf entries must be finite"),
+        ([1.2, -0.2], NegativeEntry, "negative entry -0.2 in pmf"),
+        ([0.5, 0.6], SumNotOne,
+         f"pmf sums to {np.sum([0.5, 0.6])!r}, not 1 (tolerance 1e-09)"),
+    ])
+    def test_rejection_type_and_message(self, raw, exc, message):
+        with pytest.raises(ValueError) as info:
+            Pmf(np.array(raw))
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
 
 class TestChannel:
     def test_column_sum_checked(self):
@@ -64,6 +88,32 @@ class TestChannel:
     def test_non_finite_entry_names_column(self, bad):
         with pytest.raises(ValueError, match="non-finite entry in channel column 1"):
             Channel(np.array([[0.9, bad], [0.1, 0.8]]))
+
+    def test_matrix_is_the_normalised_input_bitwise(self):
+        rng = np.random.default_rng(17)
+        for rows, cols in [(1, 1), (2, 3), (5, 4), (7, 7)]:
+            m = rng.dirichlet(np.ones(rows), size=cols).T
+            for arr in (m, np.asfortranarray(m)):
+                ch = Channel(arr)
+                assert np.array_equal(ch.matrix, arr / arr.sum(axis=0))
+                assert not ch.matrix.flags.writeable
+                assert not np.shares_memory(ch.matrix, arr)
+
+    @pytest.mark.parametrize("raw, exc, message", [
+        ([[-0.1, np.nan], [1.1, 0.8]], ValueError,
+         "non-finite entry in channel column 1"),
+        ([[0.9, np.inf], [0.1, -np.inf]], ValueError,
+         "non-finite entry in channel column 1"),
+        ([[0.9, 1.2], [0.1, -0.2]], NegativeEntry,
+         "negative entry in channel column 1"),
+        ([[0.9, 0.5], [0.2, 0.5]], SumNotOne,
+         f"channel column 0 sums to {np.sum([0.9, 0.2])!r}, not 1"),
+    ])
+    def test_rejection_type_and_message(self, raw, exc, message):
+        with pytest.raises(ValueError) as info:
+            Channel(np.array(raw))
+        assert type(info.value) is exc
+        assert str(info.value) == message
 
     def test_column_accessor(self):
         ch = Channel(np.array([[0.9, 0.2], [0.1, 0.8]]))

@@ -6,6 +6,7 @@ from tvpriv import (Channel, JointSource, MissingYValues, NotBinary, Pmf,
                     marginal_x, mechanism_from_weights, mi_binary,
                     mi_tradeoff_bounds, mmse_binary, mutual_information,
                     perr_binary, solve_tradeoff, sweep_curve, t_xy)
+from tvpriv import lp
 from tvpriv.tradeoff import UtilityKind
 
 from conftest import random_source
@@ -300,6 +301,54 @@ class TestSweepCurve:
     def test_missing_y_values(self, independent_source):
         with pytest.raises(MissingYValues):
             sweep_curve(independent_source, MMSE, 5)
+
+    def test_standard_form_built_once_per_curve(self, binary_source,
+                                                uniform3_source, monkeypatch):
+        calls = []
+        real = lp.standard_form
+        monkeypatch.setattr(lp, "standard_form",
+                            lambda p: calls.append(1) or real(p))
+        for src in (binary_source, uniform3_source):
+            for kind in (MI, MMSE, PERR):
+                calls.clear()
+                sweep_curve(src, kind, 21)
+                assert len(calls) == 1
+
+
+def fault_source() -> JointSource:
+    """A (5, 5) source on which the simplex returns weights that break its
+    own equality rows: the 18th draw of a seeded size ladder."""
+    rng = np.random.default_rng([12, 1])
+    rungs = [(4, 4), (5, 4), (5, 5), (6, 5), (6, 6)]
+    for k in range(18):
+        nx, ny = rungs[k % len(rungs)]
+        p_y = rng.dirichlet(np.ones(ny))
+        p_x_given_y = rng.dirichlet(np.ones(nx), size=ny).T
+        y_values = np.sort(rng.normal(size=ny))
+    return JointSource(Pmf(p_y), Channel(p_x_given_y), y_values)
+
+
+class TestKnownSimplexFault:
+    # Phase one accepts any pivot element above PIVOT_TOL (one is 3.3e-9
+    # here) and never re-solves the final basis, so the weights drift off
+    # the marginal rows and mechanism assembly renormalises that away.
+    # These pass once the pivoting is fixed; strict, so that fix notices.
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="simplex pivots on tiny entries")
+    def test_mi_mechanism_within_budget(self):
+        src = fault_source()
+        eps = t_xy(src) / 2
+        sol = solve_tradeoff(src, MI, eps)
+        p_u, p_x_given_u, _ = compose(sol.mechanism, src)
+        assert avg_tv_leakage(p_u, p_x_given_u, marginal_x(src)) <= eps + 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="simplex pivots on tiny entries")
+    def test_mmse_achieved_t_within_budget(self):
+        src = fault_source()
+        eps = t_xy(src) / 2
+        assert solve_tradeoff(src, MMSE, eps).achieved_t <= eps + 1e-8
 
 
 class TestVarianceConcavity:
