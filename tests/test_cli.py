@@ -337,6 +337,40 @@ class TestRegionsCommand:
         assert "grows exponentially" in capsys.readouterr().err
 
 
+STDOUT_DATA = Path(__file__).parent / "data" / "stdout"
+PINNED_COMMANDS = [
+    *((f"solve_{u}_{e}.json", ["solve", "--utility", u, "--epsilon", e])
+      for u in ("mi", "mmse", "perr") for e in ("0.03", "0.05")),
+    *((f"curve_{u}_51.csv", ["curve", "--utility", u, "--grid", "51"])
+      for u in ("mi", "mmse", "perr")),
+    ("measure_identity.json", ["measure", "--identity"]),
+    *((f"threat_identity_{c}.json", ["threat", "--identity", "--cost", c])
+      for c in ("brier", "log_loss")),
+]
+
+
+def parse_csv(text):
+    header, *rows = text.splitlines()
+    return [header.split(",")] + [[float(v) for v in row.split(",")] for row in rows]
+
+
+class TestCommittedStdout:
+    # stdout of each command on both fixtures, committed from an earlier
+    # build; keys, order and row counts must match, numbers within 1e-12
+    @pytest.mark.parametrize("name", ["binary_y_source", "uniform3_source"])
+    @pytest.mark.parametrize("dump, args", PINNED_COMMANDS,
+                             ids=[d for d, _ in PINNED_COMMANDS])
+    def test_matches_committed_stdout(self, capsys, name, dump, args):
+        command, *flags = args
+        assert run([command, str(fixture_path(f"{name}.json")), *flags]) == 0
+        got = capsys.readouterr().out
+        want = (STDOUT_DATA / name / dump).read_text(encoding="utf-8")
+        if dump.endswith(".csv"):
+            assert_same_structure(parse_csv(got), parse_csv(want))
+        else:
+            assert_same_structure(json.loads(got), json.loads(want))
+
+
 class TestThreatCommand:
     def test_log_loss_identity(self, tmp_path):
         out = tmp_path / "threat.json"
