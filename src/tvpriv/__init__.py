@@ -14,8 +14,7 @@ from .lp import feasible as lp_feasible
 from .lp import solve as lp_solve
 from .probability import (Channel, DimensionMismatch, JointSource, Mechanism,
                           NegativeEntry, Pmf, SumNotOne, ZeroMassSymbol,
-                          bayes_invert, compose, entropy, marginal_x,
-                          validate_pmf)
+                          bayes_invert, compose, entropy)
 from .regions import (LinearForm, Region, SPointSet, TooManyForms,
                       build_linear_forms, enumerate_regions,
                       enumerate_spoints, f_value, region_extreme_points)

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import suites
-from .leakage import LeakageReport, leakage_report
-from .probability import (Channel, JointSource, Mechanism, Pmf, compose,
-                          marginal_x)
+from .leakage import leakage_report
+from .probability import Channel, JointSource, Mechanism, Pmf, compose
 from .regions import (TooManyForms, build_linear_forms, enumerate_regions,
                       merge_extreme_points, region_extreme_points)
 from .threats import CostFunction, inference_gain
@@ -58,13 +59,17 @@ def _sig12(x):
     return x
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_sig12(doc), indent=2) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
+    """Write to ``--out`` when given, else to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    _emit(json.dumps(_sig12(doc), indent=2) + "\n", out_path)
 
 
 def _read_json(path: str) -> dict:
@@ -149,22 +154,9 @@ def _mechanism_doc(mech: Mechanism, p_u: Pmf, p_y_given_u: Channel) -> dict:
     }
 
 
-def _report_doc(rep: LeakageReport) -> dict:
-    return {
-        "t_leakage": rep.t_leakage,
-        "mutual_info_bits": rep.mutual_info_bits,
-        "maximal_leakage_bits": rep.maximal_leakage_bits,
-        "max_info_leakage_bits": rep.max_info_leakage_bits,
-        "bound_mi_lower": rep.bound_mi_lower,
-        "bound_ml_upper": rep.bound_ml_upper,
-        "bound_ml_lower": rep.bound_ml_lower,
-        "slack_mi_lower": rep.slack_mi_lower,
-        "slack_ml_upper": rep.slack_ml_upper,
-        "slack_ml_lower": rep.slack_ml_lower,
-    }
-
-
 def cmd_solve(args) -> int:
+    if math.isnan(args.epsilon):
+        raise SourceFileError("--epsilon must be a number, got nan")
     src = load_source(args.source)
     kind = UTILITY_FLAGS[args.utility]
     sol = solve_tradeoff(src, kind, args.epsilon)
@@ -193,20 +185,17 @@ def cmd_curve(args) -> int:
         last_eps = pt.epsilon
         lines.append(",".join(f"{v:.12g}" for v in
                               (pt.epsilon, pt.utility_value, pt.achieved_t)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
     src = load_source(args.source)
     p_u, p_x_given_u, _ = compose(_mechanism_arg(args, src.n_y), src)
-    rep = leakage_report(p_u, p_x_given_u, marginal_x(src))
-    _emit_json(_report_doc(rep), args.out)
+    rep = leakage_report(p_u, p_x_given_u, src.marginal_x())
+    _emit_json({**asdict(rep), "slack_mi_lower": rep.slack_mi_lower,
+                "slack_ml_upper": rep.slack_ml_upper,
+                "slack_ml_lower": rep.slack_ml_lower}, args.out)
     return EXIT_OK
 
 
@@ -240,20 +229,14 @@ def cmd_threat(args) -> int:
     p_u, p_x_given_u, _ = compose(_mechanism_arg(args, src.n_y), src)
     cost = (CostFunction.log_loss() if args.cost == "log_loss"
             else CostFunction.brier())
-    rep = inference_gain(cost, p_u, p_x_given_u, marginal_x(src))
-    _emit_json({
-        "cost": args.cost,
-        "c0_star": rep.c0_star,
-        "expected_cu_star": rep.expected_cu_star,
-        "delta_c": rep.delta_c,
-        "bound_4lt": rep.bound_4lt,
-        "slack": rep.slack,
-        "mi_identity_gap": rep.mi_identity_gap,
-    }, args.out)
+    rep = inference_gain(cost, p_u, p_x_given_u, src.marginal_x())
+    _emit_json({"cost": args.cost, **asdict(rep)}, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        raise SourceFileError(f"--instances must be at least 1, got {args.instances}")
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     results = suites.run_suites(names, args.instances, args.seed)
     for res in results:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .probability import (Channel, DimensionMismatch, Pmf, bayes_invert,
                           entropy)
+from .tolerances import CHAIN_TOL
 
 LOG2E = float(np.log2(np.e))
 
@@ -182,9 +183,6 @@ class SlackResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-CHAIN_TOL = 1e-9
 
 
 def is_postprocessing_consistent(chain: MarkovChain) -> SlackResult:

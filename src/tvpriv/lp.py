@@ -27,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9
+from .tolerances import FEAS_TOL, PIVOT_TOL
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -68,15 +67,6 @@ class LpProblem:
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    @property
-    def n_rows(self) -> int:
-        n = 0
-        if self.a_eq is not None:
-            n += self.a_eq.shape[0]
-        if self.a_ub is not None:
-            n += self.a_ub.shape[0]
-        return n
 
 
 @dataclass(frozen=True)
@@ -282,7 +272,10 @@ def solve(p: LpProblem) -> LpSolution:
 
 
 def feasible(p: LpProblem) -> bool:
-    """Phase-one feasibility test: does any x >= 0 satisfy the constraints?"""
+    """Phase-one feasibility test: does any x >= 0 satisfy the constraints?
+
+    Unused by the library; kept while the benchmark tracer binds it by name.
+    """
     a = standard_form(p).a
     if a.shape[0] == 0:
         return True

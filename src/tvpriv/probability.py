@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROB_ATOL = 1e-9
+from .tolerances import PROB_ATOL
 
 
 class NegativeEntry(ValueError):
@@ -30,10 +30,6 @@ class ZeroMassSymbol(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible alphabet sizes."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    return _frozen(np.array(a, dtype=float, copy=True))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -66,17 +62,8 @@ class Pmf:
             raise SumNotOne(f"pmf sums to {s!r}, not 1 (tolerance {PROB_ATOL})")
         object.__setattr__(self, "probs", _frozen(v / s))
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.size
-
     def __len__(self) -> int:
         return self.probs.size
-
-
-def validate_pmf(v) -> Pmf:
-    """Validate a raw vector as a pmf; raises NegativeEntry or SumNotOne."""
-    return Pmf(np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -138,7 +125,7 @@ class JointSource:
         if np.any(self.marginal_x().probs <= 0):
             raise ZeroMassSymbol("induced p_x has a zero-mass symbol")
         if self.y_values is not None:
-            yv = np.asarray(self.y_values, dtype=float)
+            yv = np.array(self.y_values, dtype=float)
             if yv.shape != (len(self.p_y),):
                 raise DimensionMismatch("y_values length must equal |Y|")
             if not np.all(np.isfinite(yv)):
@@ -146,7 +133,7 @@ class JointSource:
             # sort-and-diff rather than np.unique, which imports numpy.ma
             if np.any(np.diff(np.sort(yv)) == 0):
                 raise ValueError("y_values must be distinct")
-            object.__setattr__(self, "y_values", _readonly(yv))
+            object.__setattr__(self, "y_values", _frozen(yv))
 
     @property
     def n_x(self) -> int:
@@ -157,12 +144,8 @@ class JointSource:
         return len(self.p_y)
 
     def marginal_x(self) -> Pmf:
+        """The marginal p_X = P_{X|Y} p_Y; strictly positive by construction."""
         return Pmf(self.channel_x_given_y.matrix @ self.p_y.probs)
-
-
-def marginal_x(src: JointSource) -> Pmf:
-    """The marginal p_X = P_{X|Y} p_Y; strictly positive by construction."""
-    return src.marginal_x()
 
 
 @dataclass(frozen=True)
@@ -179,10 +162,10 @@ class Mechanism:
 
     def __post_init__(self):
         if self.u_labels is not None:
-            lab = np.asarray(self.u_labels, dtype=float)
+            lab = np.array(self.u_labels, dtype=float)
             if lab.shape != (self.channel_u_given_y.n_outputs,):
                 raise DimensionMismatch("u_labels length must equal |U|")
-            object.__setattr__(self, "u_labels", _readonly(lab))
+            object.__setattr__(self, "u_labels", _frozen(lab))
 
     @classmethod
     def identity(cls, n: int, labels=None) -> "Mechanism":

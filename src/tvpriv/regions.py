@@ -29,15 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import JointSource, Pmf
+from .tolerances import (DEDUP_TOL, DIRECTION_TOL, MEMBERSHIP_TOL, RANK_TOL,
+                         ZERO_FORM_TOL)
 
 FORM_CAP = 20
 Y_CAP = 10
-DEDUP_TOL = 1e-9
-RANK_TOL = 1e-10
-ZERO_FORM_TOL = 1e-10
-# forms are rows of a stochastic matrix, so entries lie in [0, 1]; this
-# only absorbs the rounding of rescaling one such row onto another
-DIRECTION_TOL = 1e-12
 # one batch of candidate bases holds about this many bytes of matrices, so
 # memory stays bounded at the caps (m = 20, |Y| = 10: C(30, 21) ~ 14M bases)
 _BATCH_BYTES = 1 << 20
@@ -110,8 +106,8 @@ class Region:
     def dim(self) -> int:
         return self.a_tilde.shape[1]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.membership_slack(x) >= -tol
+    def contains(self, x) -> bool:
+        return self.membership_slack(x) >= -MEMBERSHIP_TOL
 
     def membership_slack(self, x) -> float:
         """Smallest slack over all constraints; negative means outside."""

@@ -15,16 +15,14 @@ from importlib import resources
 import numpy as np
 
 from . import lp
-from .leakage import (CHAIN_TOL, MarkovChain, avg_tv_leakage,
-                      is_linkage_consistent, is_postprocessing_consistent,
-                      leakage_report, lp_linkage_slack)
-from .probability import Channel, JointSource, Pmf
+from .leakage import (MarkovChain, avg_tv_leakage, is_linkage_consistent,
+                      is_postprocessing_consistent, leakage_report,
+                      lp_linkage_slack)
+from .probability import Channel, Pmf
 from .threats import CostFunction, inference_gain
+from .tolerances import BOUND_TOL, CHAIN_TOL, IDENTITY_TOL, SUPPORT_TOL
 
 DEFAULT_SEED = 42
-
-BOUND_TOL = 1e-8
-IDENTITY_TOL = 1e-9
 
 
 def fixture_path(name: str):
@@ -47,17 +45,6 @@ def random_pmf(rng: np.random.Generator, n: int) -> Pmf:
 
 def random_channel(rng: np.random.Generator, rows: int, cols: int) -> Channel:
     return Channel(rng.dirichlet(np.ones(rows), size=cols).T)
-
-
-def random_source(rng: np.random.Generator, nx: int, ny: int,
-                  with_values: bool = False) -> JointSource:
-    values = np.sort(rng.normal(size=ny)) if with_values else None
-    while True:
-        try:
-            return JointSource(random_pmf(rng, ny), random_channel(rng, nx, ny),
-                               values)
-        except ValueError:
-            continue  # zero-mass marginal; astronomically rare
 
 
 def random_release_pair(rng: np.random.Generator, nx: int, nu: int):
@@ -235,7 +222,7 @@ def run_lp_suite(instances: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
         reduced = c - full_a.T @ y
         # structural reduced costs >= 0 and multipliers of <= rows <= 0
         dual_feas.add(min(float(reduced.min()), float(-y[m:].max())))
-        basic.add((m + 1) - int(np.count_nonzero(sol.weights > 1e-9)))
+        basic.add((m + 1) - int(np.count_nonzero(sol.weights > SUPPORT_TOL)))
         again = lp.solve(prob)
         determinism.add(0.0 if again.basis == sol.basis else -1.0)
     checks = {

@@ -29,11 +29,9 @@ import numpy as np
 
 from . import lp
 from .leakage import LOG2E, avg_tv_leakage, mutual_information
-from .probability import (Channel, JointSource, Mechanism, entropy,
-                          marginal_x)
-from .regions import SPointSet, build_linear_forms, enumerate_spoints
-
-SUPPORT_TOL = 1e-9
+from .probability import Channel, JointSource, Mechanism, entropy
+from .regions import SPointSet, enumerate_spoints
+from .tolerances import INDEPENDENCE_TOL, SUPPORT_TOL
 
 
 class MissingYValues(ValueError):
@@ -56,8 +54,7 @@ class UtilityKind(str, enum.Enum):
 
 def t_xy(src: JointSource) -> float:
     """T(X;Y): the leakage of releasing Y itself, and the useful budget cap."""
-    p_x = marginal_x(src)
-    return avg_tv_leakage(src.p_y, src.channel_x_given_y, p_x)
+    return avg_tv_leakage(src.p_y, src.channel_x_given_y, src.marginal_x())
 
 
 def binary_entropy(p: float) -> float:
@@ -104,7 +101,6 @@ class TradeoffSolution:
     utility_value: float
     mechanism: Mechanism
     achieved_t: float
-    spoints_used: SPointSet
 
 
 @dataclass(frozen=True)
@@ -220,6 +216,8 @@ def _solve_lp(prep: _TradeoffLp,
 def solve_tradeoff(src: JointSource, kind: UtilityKind, eps: float,
                    spoints: SPointSet | None = None) -> TradeoffSolution:
     """Solve one budget point exactly; see the module docstring for the LP."""
+    if np.isnan(eps):
+        raise ValueError("budget eps must be a number, got nan")
     prep = _prepare_lp(src, kind, spoints)
     eps_eff = prep.clamp(eps)
     value, achieved, weights = _solve_lp(prep, eps_eff)
@@ -233,8 +231,7 @@ def solve_tradeoff(src: JointSource, kind: UtilityKind, eps: float,
         mech = Mechanism.identity(src.n_y, labels)
     else:
         mech = mechanism_from_weights(weights, prep.spoints, src, prep.kind)
-    return TradeoffSolution(eps_eff, float(eps), value, mech, achieved,
-                            prep.spoints)
+    return TradeoffSolution(eps_eff, float(eps), value, mech, achieved)
 
 
 def sweep_curve(src: JointSource, kind: UtilityKind,
@@ -278,8 +275,8 @@ def mi_tradeoff_bounds(src: JointSource, eps_mi: float):
     cols = src.channel_x_given_y.matrix
     delta_l1 = float(np.abs(cols[:, 0] - cols[:, 1]).sum())
     h_y = entropy(src.p_y)
-    i_xy = mutual_information(src.p_y, src.channel_x_given_y, marginal_x(src))
-    lower = h_y if i_xy <= 1e-12 else h_y * eps_mi / i_xy
+    i_xy = mutual_information(src.p_y, src.channel_x_given_y, src.marginal_x())
+    lower = h_y if i_xy <= INDEPENDENCE_TOL else h_y * eps_mi / i_xy
     upper_linear = eps_mi + (h_y - i_xy)
     upper_tv = mi_binary(p, delta_l1, float(np.sqrt(eps_mi / (2.0 * LOG2E))))
     return lower, upper_linear, upper_tv

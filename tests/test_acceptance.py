@@ -8,8 +8,8 @@ import pytest
 import scipy.optimize
 
 from tvpriv import (avg_tv_leakage, build_linear_forms, compose, entropy,
-                    enumerate_regions, enumerate_spoints, marginal_x,
-                    mi_binary, mi_tradeoff_bounds, mmse_binary,
+                    enumerate_regions, enumerate_spoints, mi_binary,
+                    mi_tradeoff_bounds, mmse_binary,
                     mutual_information, perr_binary, region_extreme_points,
                     solve_tradeoff, sweep_curve, t_xy)
 from tvpriv.suites import (linkage_fixture_chain, run_bounds_suite,
@@ -102,7 +102,7 @@ def test_criterion_3_binary_fixture_values(binary_source):
 
     i_xy = mutual_information(binary_source.p_y,
                               binary_source.channel_x_given_y,
-                              marginal_x(binary_source))
+                              binary_source.marginal_x())
     below_at_small = all(
         mi_tradeoff_bounds(binary_source, eps)[2] <
         mi_tradeoff_bounds(binary_source, eps)[1]
@@ -192,7 +192,7 @@ def test_criterion_7_grid_search_never_beats_lp():
             for kind in (MI, MMSE, PERR):
                 mine = solve_tradeoff(src, kind, eps, spoints=spoints)
                 p_u, p_x_given_u, _ = compose(mine.mechanism, src)
-                recheck = avg_tv_leakage(p_u, p_x_given_u, marginal_x(src))
+                recheck = avg_tv_leakage(p_u, p_x_given_u, src.marginal_x())
                 feasible_ok &= recheck <= eps + 1e-8
                 res = scipy.optimize.linprog(
                     objectives[kind], A_eq=grid, b_eq=src.p_y.probs,

@@ -9,7 +9,7 @@ import pytest
 
 import tvpriv
 from tvpriv import (Channel, Mechanism, Pmf, avg_tv_leakage, compose,
-                    marginal_x, mutual_information)
+                    mutual_information)
 from tvpriv import cli, regions
 from tvpriv.cli import main
 from tvpriv.suites import fixture_path
@@ -89,6 +89,12 @@ class TestSolve:
     def test_missing_file(self):
         assert run(["solve", "/nonexistent.json", "--utility", "mi",
                     "--epsilon", "0.1"]) == 2
+
+    def test_nan_epsilon_names_flag(self, capsys):
+        assert run(["solve", BINARY, "--utility", "mi", "--epsilon", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--epsilon" in err
 
     def test_mmse_without_y_values(self, tmp_path):
         src = tmp_path / "src.json"
@@ -401,6 +407,13 @@ class TestVerifyCommand:
     def test_single_suite(self, capsys):
         assert run(["verify", "--suite", "bounds", "--instances", "40"]) == 0
         assert "suite bounds: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_rejected(self, capsys, instances):
+        assert run(["verify", "--instances", instances]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--instances" in err
 
 
 class TestRoundTripAndDeterminism:

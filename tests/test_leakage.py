@@ -7,8 +7,8 @@ from tvpriv import (Channel, DimensionMismatch, MarkovChain, Mechanism, Pmf,
                     avg_pnorm_leakage, avg_tv_leakage, bayes_invert,
                     bounds_from_tv, compose, entropy, is_linkage_consistent,
                     is_postprocessing_consistent, leakage_report,
-                    lp_linkage_slack, marginal_x, max_info_leakage,
-                    maximal_leakage, mutual_information, tv_distance)
+                    lp_linkage_slack, max_info_leakage, maximal_leakage,
+                    mutual_information, tv_distance)
 from tvpriv.suites import linkage_fixture_chain, random_release_pair
 
 LOG2_3 = 1.584962500721156
@@ -59,7 +59,7 @@ class TestTvDistance:
 
 class TestAvgTvLeakage:
     def test_independence_gives_zero(self, binary_source):
-        p_x = marginal_x(binary_source)
+        p_x = binary_source.marginal_x()
         cols = np.tile(p_x.probs[:, None], (1, 2))
         assert avg_tv_leakage(Pmf(np.array([0.4, 0.6])), Channel(cols),
                               p_x) == pytest.approx(0.0, abs=1e-15)
@@ -71,7 +71,7 @@ class TestAvgTvLeakage:
 
     def test_fixture_identity_release(self, binary_source):
         p_u, p_x_given_u, _ = compose(Mechanism.identity(2), binary_source)
-        t = avg_tv_leakage(p_u, p_x_given_u, marginal_x(binary_source))
+        t = avg_tv_leakage(p_u, p_x_given_u, binary_source.marginal_x())
         assert t == pytest.approx(2 / 15, abs=1e-12)
 
     def test_joint_product_form_and_symmetry(self):
@@ -103,7 +103,7 @@ class TestMutualInformation:
 
     def test_fixture_against_double_sum_oracle(self, binary_source):
         p_u, p_x_given_u, _ = compose(Mechanism.identity(2), binary_source)
-        p_x = marginal_x(binary_source)
+        p_x = binary_source.marginal_x()
         got = mutual_information(p_u, p_x_given_u, p_x)
         assert got == pytest.approx(mi_double_sum(p_u, p_x_given_u, p_x),
                                     abs=1e-12)
@@ -138,7 +138,7 @@ class TestMaxInfoLeakage:
 
     def test_fixture_identity_release(self, binary_source):
         p_u, p_x_given_u, _ = compose(Mechanism.identity(2), binary_source)
-        got = max_info_leakage(p_u, p_x_given_u, marginal_x(binary_source))
+        got = max_info_leakage(p_u, p_x_given_u, binary_source.marginal_x())
         assert got == pytest.approx(H_PX_FIXTURE - H_COL_FIXTURE, abs=1e-12)
 
     def test_dominates_average(self):

@@ -126,7 +126,8 @@ class TestRandomProblems:
         for _ in range(60):
             prob = random_problem(rng)
             sol = lp_solve(prob)
-            assert np.count_nonzero(sol.weights > 1e-9) <= prob.n_rows
+            n_rows = prob.a_eq.shape[0] + prob.a_ub.shape[0]
+            assert np.count_nonzero(sol.weights > 1e-9) <= n_rows
 
     def test_deterministic_basis(self):
         rng = np.random.default_rng(53)

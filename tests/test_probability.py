@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tvpriv import (Channel, DimensionMismatch, JointSource, Mechanism,
                     NegativeEntry, Pmf, SumNotOne, ZeroMassSymbol,
-                    bayes_invert, compose, entropy, marginal_x, validate_pmf)
+                    bayes_invert, compose, entropy)
 
 H_THIRD = 0.9182958340544896  # binary entropy of 1/3
 LOG2_3 = 1.584962500721156
@@ -13,33 +13,33 @@ LOG2_3 = 1.584962500721156
 
 class TestValidatePmf:
     def test_uniform_binary_ok(self):
-        p = validate_pmf([0.5, 0.5])
+        p = Pmf([0.5, 0.5])
         assert np.allclose(p.probs, [0.5, 0.5])
-        assert p.alphabet_size == 2
+        assert len(p) == 2
 
     def test_sum_above_one_rejected(self):
         with pytest.raises(SumNotOne):
-            validate_pmf([0.5, 0.6])
+            Pmf([0.5, 0.6])
 
     def test_third_two_thirds_ok(self):
-        p = validate_pmf([1 / 3, 2 / 3])
+        p = Pmf([1 / 3, 2 / 3])
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):
-            validate_pmf([1.2, -0.2])
+            Pmf([1.2, -0.2])
 
     def test_renormalizes_only_within_tolerance(self):
-        p = validate_pmf([0.5, 0.5 + 5e-10])
+        p = Pmf([0.5, 0.5 + 5e-10])
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(SumNotOne):
-            validate_pmf([0.5, 0.5 + 5e-9])
+            Pmf([0.5, 0.5 + 5e-9])
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1,
                     max_size=8))
     def test_normalized_vectors_always_accepted(self, raw):
         v = np.array(raw)
-        p = validate_pmf(v / v.sum())
+        p = Pmf(v / v.sum())
         assert p.probs.min() >= 0
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -50,7 +50,7 @@ class TestValidatePmf:
             Pmf(np.array([bad, 0.5]))
 
     def test_immutable(self):
-        p = validate_pmf([0.5, 0.5])
+        p = Pmf([0.5, 0.5])
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
@@ -122,12 +122,12 @@ class TestChannel:
 
 class TestMarginalX:
     def test_fixture_product(self, binary_source):
-        got = marginal_x(binary_source)
+        got = binary_source.marginal_x()
         assert np.allclose(got.probs, [11 / 30, 7 / 30, 12 / 30], atol=1e-12)
 
     def test_identity_channel(self):
         src = JointSource(Pmf(np.array([0.4, 0.6])), Channel(np.eye(2)))
-        assert np.allclose(marginal_x(src).probs, [0.4, 0.6])
+        assert np.allclose(src.marginal_x().probs, [0.4, 0.6])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroMassSymbol):
@@ -169,7 +169,7 @@ class TestCompose:
     def test_constant_mechanism_gives_prior(self, binary_source):
         mech = Mechanism(Channel(np.array([[0.3, 0.3], [0.7, 0.7]])))
         p_u, p_x_given_u, _ = compose(mech, binary_source)
-        p_x = marginal_x(binary_source)
+        p_x = binary_source.marginal_x()
         for j in range(len(p_u)):
             assert np.allclose(p_x_given_u.column(j), p_x.probs, atol=1e-12)
 
@@ -192,7 +192,7 @@ class TestCompose:
             mech = Mechanism(Channel(rng.dirichlet(np.ones(nu), size=ny).T))
             p_u, p_x_given_u, _ = compose(mech, src)
             rebuilt = p_x_given_u.matrix @ p_u.probs
-            assert np.allclose(rebuilt, marginal_x(src).probs, atol=1e-9)
+            assert np.allclose(rebuilt, src.marginal_x().probs, atol=1e-9)
 
 
 class TestEntropy:

@@ -7,8 +7,8 @@ from tvpriv import (Channel, JointSource, LinearForm, Pmf, TooManyForms,
                     build_linear_forms, enumerate_regions, enumerate_spoints,
                     f_value, region_extreme_points)
 from tvpriv import regions as regions_module
-from tvpriv.regions import (DEDUP_TOL, RANK_TOL, DegenerateSystem, Region,
-                            _first_seen_rows)
+from tvpriv.regions import DegenerateSystem, Region, _first_seen_rows
+from tvpriv.tolerances import DEDUP_TOL, RANK_TOL
 
 from conftest import random_source
 

@@ -3,7 +3,7 @@ import pytest
 
 from tvpriv import (Channel, JointSource, MissingYValues, NotBinary, Pmf,
                     avg_tv_leakage, compose, entropy, enumerate_spoints,
-                    marginal_x, mechanism_from_weights, mi_binary,
+                    mechanism_from_weights, mi_binary,
                     mi_tradeoff_bounds, mmse_binary, mutual_information,
                     perr_binary, solve_tradeoff, sweep_curve, t_xy)
 from tvpriv import lp
@@ -140,6 +140,11 @@ class TestSolveTradeoff:
         assert sol.epsilon == 0.0
         assert sol.epsilon_requested == -0.5
 
+    @pytest.mark.parametrize("kind", [MI, MMSE, PERR])
+    def test_nan_budget_rejected(self, binary_source, kind):
+        with pytest.raises(ValueError, match="nan"):
+            solve_tradeoff(binary_source, kind, float("nan"))
+
     def test_support_cardinality(self):
         rng = np.random.default_rng(211)
         for _ in range(25):
@@ -163,7 +168,7 @@ class TestSolveTradeoff:
                 for kind in (MI, MMSE, PERR):
                     sol = solve_tradeoff(src, kind, eps)
                     p_u, p_x_given_u, p_y_given_u = compose(sol.mechanism, src)
-                    t_again = avg_tv_leakage(p_u, p_x_given_u, marginal_x(src))
+                    t_again = avg_tv_leakage(p_u, p_x_given_u, src.marginal_x())
                     assert t_again <= eps + 1e-8
                     assert sol.achieved_t <= min(eps, t_cap) + 1e-8
                     labels = sol.mechanism.u_labels
@@ -208,7 +213,7 @@ class TestMechanismFromWeights:
         assert mech.channel_u_given_y.n_outputs == 1
         p_u, p_x_given_u, _ = compose(mech, binary_source)
         assert mutual_information(p_u, p_x_given_u,
-                                  marginal_x(binary_source)) == \
+                                  binary_source.marginal_x()) == \
             pytest.approx(0.0, abs=1e-10)
 
     def test_tiny_weights_trimmed(self, binary_source):
@@ -341,7 +346,7 @@ class TestKnownSimplexFault:
         eps = t_xy(src) / 2
         sol = solve_tradeoff(src, MI, eps)
         p_u, p_x_given_u, _ = compose(sol.mechanism, src)
-        assert avg_tv_leakage(p_u, p_x_given_u, marginal_x(src)) <= eps + 1e-8
+        assert avg_tv_leakage(p_u, p_x_given_u, src.marginal_x()) <= eps + 1e-8
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="simplex pivots on tiny entries")
@@ -382,7 +387,7 @@ class TestMiTradeoffBounds:
     def test_full_budget_endpoint(self, binary_source):
         i_xy = mutual_information(binary_source.p_y,
                                   binary_source.channel_x_given_y,
-                                  marginal_x(binary_source))
+                                  binary_source.marginal_x())
         lower, _, _ = mi_tradeoff_bounds(binary_source, i_xy)
         assert lower == pytest.approx(H_THIRD, abs=1e-9)
 
