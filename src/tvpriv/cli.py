@@ -28,7 +28,7 @@ from . import suites
 from .leakage import leakage_report
 from .probability import Channel, JointSource, Mechanism, Pmf, compose
 from .regions import (TooManyForms, build_linear_forms, enumerate_regions,
-                      merge_extreme_points, region_extreme_points)
+                      extreme_points, merge_extreme_points)
 from .threats import CostFunction, inference_gain
 from .tradeoff import UtilityKind, solve_tradeoff, sweep_curve, t_xy
 
@@ -155,8 +155,8 @@ def _mechanism_doc(mech: Mechanism, p_u: Pmf, p_y_given_u: Channel) -> dict:
 
 
 def cmd_solve(args) -> int:
-    if math.isnan(args.epsilon):
-        raise SourceFileError("--epsilon must be a number, got nan")
+    if not math.isfinite(args.epsilon):
+        raise SourceFileError(f"--epsilon must be a finite number, got {args.epsilon}")
     src = load_source(args.source)
     kind = UTILITY_FLAGS[args.utility]
     sol = solve_tradeoff(src, kind, args.epsilon)
@@ -203,7 +203,7 @@ def cmd_regions(args) -> int:
     src = load_source(args.source)
     forms = build_linear_forms(src)
     regions = enumerate_regions(forms, src.p_y)
-    region_points = [region_extreme_points(region) for region in regions]
+    region_points = extreme_points(regions)
     spoints = merge_extreme_points(src, forms, region_points)
     doc = {
         "regions": [

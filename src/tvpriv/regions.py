@@ -10,14 +10,17 @@ r_i . (x - p_Y) partitions the simplex into at most 2^m polytopes on
 which f is affine, and the optimal release mechanism only ever needs
 posteriors drawn from the extreme points of those polytopes.  This
 module enumerates the regions and their extreme points via basic
-feasible solutions of the slack-augmented equality systems.  Each
-region's candidate bases are gathered into stacked batches of at most
-about ``_BATCH_BYTES`` of matrices, and every batch gets one rank test
-and one solve; numpy runs the same LAPACK routine on each matrix of a
-stack, so the points are bitwise those of a one-basis-at-a-time loop.
+feasible solutions of the slack-augmented equality systems.  The
+candidate bases are gathered into stacked batches of at most about
+``_BATCH_BYTES`` of matrices.  A region's sign pattern does not change
+which bases are singular, so every batch gets one rank test for all
+regions and one solve per region; numpy runs the same LAPACK routine on
+each matrix of a stack, so the points are bitwise those of a
+one-basis-at-a-time loop.
 
-Enumeration cost is Theta(2^m * C(n+m, m+1)) and grows exponentially in
-the number of secret symbols, so hard caps reject oversized inputs
+Enumeration costs C(n+m, m+1) rank tests per source plus, in each of up
+to 2^m regions, one solve per full-rank basis.  That grows exponentially
+in the number of secret symbols, so hard caps reject oversized inputs
 instead of silently truncating.
 """
 
@@ -187,54 +190,83 @@ def _first_seen_rows(rows: np.ndarray) -> list[int]:
     return kept
 
 
-def region_extreme_points(region: Region) -> list[Pmf]:
-    """Extreme points of a region via basic feasible solutions.
+def _augmented(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The slack-augmented system [A I; 1 0] x' = [b; 1] of a region."""
+    m, n = region.n_constraints, region.dim
+    aug = np.zeros((m + 1, n + m))
+    aug[:m, :n] = region.a_tilde
+    aug[:m, n:] = np.eye(m)
+    aug[m, :n] = 1.0
+    return aug, np.concatenate([region.b_tilde, [1.0]])
+
+
+def _subset_batches(n_cols: int, k: int):
+    """The k-column subsets in ``itertools.combinations`` order, as (B, k)
+    index arrays of about ``_BATCH_BYTES`` of k x k matrices each."""
+    batch = max(1, _BATCH_BYTES // (8 * k * k))
+    subsets = itertools.combinations(range(n_cols), k)
+    while True:
+        cols = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, batch)),
+            dtype=np.intp).reshape(-1, k)
+        if not len(cols):
+            return
+        yield cols
+
+
+def extreme_points(regions: list[Region]) -> list[list[Pmf]]:
+    """Extreme points of each region of one source, in region order.
 
     Slack variables turn A x <= b into equalities; together with the
     simplex equality the augmented system A' x' = b', x' >= 0 has full
     row rank, and its basic feasible solutions (invertible column bases
     with nonnegative solution) project exactly onto the region vertices.
 
-    The (m+1)-column subsets are taken in ``itertools.combinations``
-    order, in batches of about ``_BATCH_BYTES`` of stacked basis
-    matrices; each batch gets one rank test and one solve over its
-    full-rank members.  Points keep that order and are deduplicated
+    The regions must share their forms up to sign, as the regions of
+    ``enumerate_regions`` do.  Flipping a form's sign negates one row of
+    A' and leaves its slack column, so A' changes by a row and a column
+    scaled by -1 and no column subset changes rank: each batch of
+    (m+1)-column subsets gets one rank test, on the first region, and
+    every region solves that batch's full-rank subsets.  Each region's
+    points keep ``itertools.combinations`` order and are deduplicated
     first-seen.
     """
-    m, n = region.n_constraints, region.dim
+    if not regions:
+        return []
+    m, n = regions[0].n_constraints, regions[0].dim
     k = m + 1
-    aug = np.zeros((k, n + m))
-    aug[:m, :n] = region.a_tilde
-    aug[:m, n:] = np.eye(m)
-    aug[m, :n] = 1.0
-    rhs = np.concatenate([region.b_tilde, [1.0]])
-
-    batch = max(1, _BATCH_BYTES // (8 * k * k))
-    subsets = itertools.combinations(range(n + m), k)
-    points = [np.empty((0, n))]
+    aug0, _ = _augmented(regions[0])
+    points = [[np.empty((0, n))] for _ in regions]
     found_basis = False
-    while True:
-        cols = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(subsets, batch)),
-            dtype=np.intp).reshape(-1, k)
-        if not len(cols):
-            break
-        stack = aug[:, cols].transpose(1, 0, 2)   # stack[b] = aug[:, cols[b]]
-        full = np.linalg.matrix_rank(stack, tol=RANK_TOL) == k
+    for cols in _subset_batches(n + m, k):
+        # stack[b] = aug[:, cols[b]]
+        full = np.linalg.matrix_rank(aug0[:, cols].transpose(1, 0, 2),
+                                     tol=RANK_TOL) == k
         found_basis = found_basis or bool(full.any())
         cols = cols[full]
-        # a (1, k, 1) right-hand side means one column per system on every
-        # numpy version; a 1-D one broadcasts only from numpy 2 on
-        sols = np.linalg.solve(stack[full], rhs[None, :, None])[:, :, 0]
-        feasible = sols.min(axis=1) >= -DEDUP_TOL
-        x = np.zeros((int(feasible.sum()), n + m))
-        np.put_along_axis(x, cols[feasible], sols[feasible], axis=1)
-        pts = np.clip(x[:, :n], 0.0, None)
-        points.append(pts / pts.sum(axis=1, keepdims=True))
+        for region, pts in zip(regions, points):
+            aug, rhs = _augmented(region)
+            # a (1, k, 1) right-hand side means one column per system on
+            # every numpy version; a 1-D one broadcasts only from numpy 2 on
+            sols = np.linalg.solve(aug[:, cols].transpose(1, 0, 2),
+                                   rhs[None, :, None])[:, :, 0]
+            feasible = sols.min(axis=1) >= -DEDUP_TOL
+            x = np.zeros((int(feasible.sum()), n + m))
+            np.put_along_axis(x, cols[feasible], sols[feasible], axis=1)
+            p = np.clip(x[:, :n], 0.0, None)
+            pts.append(p / p.sum(axis=1, keepdims=True))
     if not found_basis:
         raise DegenerateSystem("no independent column basis in region system")
-    points = np.concatenate(points)
-    return [Pmf(points[i]) for i in _first_seen_rows(points)]
+    out = []
+    for pts in points:
+        rows = np.concatenate(pts)
+        out.append([Pmf(rows[i]) for i in _first_seen_rows(rows)])
+    return out
+
+
+def region_extreme_points(region: Region) -> list[Pmf]:
+    """Extreme points of one region: the one-region case of ``extreme_points``."""
+    return extreme_points([region])[0]
 
 
 @dataclass(frozen=True)
@@ -263,8 +295,7 @@ def enumerate_spoints(src: JointSource) -> SPointSet:
     """Build the sufficient support set for optimal release posteriors."""
     forms = build_linear_forms(src)
     regions = enumerate_regions(forms, src.p_y)
-    return merge_extreme_points(
-        src, forms, [region_extreme_points(region) for region in regions])
+    return merge_extreme_points(src, forms, extreme_points(regions))
 
 
 def merge_extreme_points(src: JointSource, forms: list[LinearForm],

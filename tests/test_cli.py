@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,14 @@ class TestSolve:
 
     def test_nan_epsilon_names_flag(self, capsys):
         assert run(["solve", BINARY, "--utility", "mi", "--epsilon", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--epsilon" in err
+
+    @pytest.mark.parametrize("flag", [["--epsilon", "inf"], ["--epsilon=-inf"]])
+    def test_infinite_epsilon_names_flag(self, capsys, flag):
+        # json.dumps would print the budget as Infinity, which is not JSON
+        assert run(["solve", BINARY, "--utility", "mi", *flag]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "--epsilon" in err
@@ -287,19 +296,39 @@ class TestRegionsCommand:
 
     def test_each_region_enumerated_once(self, tmp_path, monkeypatch):
         calls = []
-        original = regions.region_extreme_points
+        original = regions.extreme_points
 
-        def counted(region):
-            calls.append(region.sign_pattern)
-            return original(region)
+        def counted(region_list):
+            calls.append([list(r.sign_pattern) for r in region_list])
+            return original(region_list)
 
-        monkeypatch.setattr(regions, "region_extreme_points", counted)
-        monkeypatch.setattr(cli, "region_extreme_points", counted)
+        monkeypatch.setattr(regions, "extreme_points", counted)
+        monkeypatch.setattr(cli, "extreme_points", counted)
         out = tmp_path / "reg.json"
         assert run(["regions", BINARY, "--out", str(out)]) == 0
         patterns = [r["sign_pattern"] for r in read_json(out)["regions"]]
         assert len(patterns) == 8
-        assert [list(p) for p in calls] == patterns
+        # one call computes every region's points, in pattern order
+        assert calls == [patterns]
+
+    @pytest.mark.parametrize("name", ["binary_y_source.json", "uniform3_source.json"])
+    def test_one_rank_test_per_batch(self, tmp_path, monkeypatch, name):
+        calls = []
+        original = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # one subset per batch, so each region has several batches
+        monkeypatch.setattr(regions, "_BATCH_BYTES", 1)
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        out = tmp_path / "reg.json"
+        assert run(["regions", str(fixture_path(name)), "--out", str(out)]) == 0
+        doc = read_json(out)
+        m, n = np.shape(doc["regions"][0]["A_tilde"])
+        assert len(doc["regions"]) > 1
+        assert len(calls) == math.comb(n + m, m + 1)
 
     def test_uniform3_dump(self, tmp_path):
         out = tmp_path / "reg.json"

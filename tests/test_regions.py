@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from tvpriv import (Channel, JointSource, LinearForm, Pmf, TooManyForms,
                     build_linear_forms, enumerate_regions, enumerate_spoints,
                     f_value, region_extreme_points)
 from tvpriv import regions as regions_module
-from tvpriv.regions import DegenerateSystem, Region, _first_seen_rows
+from tvpriv.regions import (DegenerateSystem, Region, _first_seen_rows,
+                            extreme_points)
 from tvpriv.tolerances import DEDUP_TOL, RANK_TOL
 
 from conftest import random_source
@@ -266,8 +268,104 @@ class TestBatchedBases:
 
     def test_no_basis_raises(self, monkeypatch):
         monkeypatch.setattr(regions_module, "_BATCH_BYTES", 1)
+        region = Region((), np.zeros((0, 0)), np.zeros(0))
         with pytest.raises(DegenerateSystem):
-            region_extreme_points(Region((), np.zeros((0, 0)), np.zeros(0)))
+            region_extreme_points(region)
+        with pytest.raises(DegenerateSystem):
+            extreme_points([region, region])
+
+
+def proportional_and_constant_source():
+    """Rows 0 and 1 are proportional, row 2 is constant (so dropped)."""
+    r0 = np.array([0.2, 0.4, 0.1, 0.3])
+    rows = [r0, 0.5 * r0, np.full(4, 0.3)]
+    return JointSource(Pmf(np.array([0.1, 0.2, 0.3, 0.4])),
+                       Channel(np.vstack(rows + [1.0 - sum(rows)])))
+
+
+def shared_basis_sources(uniform3_source):
+    """Seeded (4,4), (5,5), (6,6) sources, uniform3, and a source with a
+    proportional and a constant row."""
+    rng = np.random.default_rng(137)
+    sources = [random_source(rng, nx, ny) for nx, ny in [(4, 4), (5, 5), (6, 6)]]
+    return sources + [uniform3_source, proportional_and_constant_source()]
+
+
+def source_regions(uniform3_source):
+    """Each of ``shared_basis_sources``' region lists."""
+    return [enumerate_regions(build_linear_forms(src), src.p_y)
+            for src in shared_basis_sources(uniform3_source)]
+
+
+def rank_masks(region):
+    """The region's own full-rank mask of each batch of column subsets."""
+    aug, _ = regions_module._augmented(region)
+    k, n_cols = aug.shape
+    return [np.linalg.matrix_rank(aug[:, cols].transpose(1, 0, 2), tol=RANK_TOL) == k
+            for cols in regions_module._subset_batches(n_cols, k)]
+
+
+def batch_count(region):
+    """How many batches one region's column subsets make."""
+    m, n = region.n_constraints, region.dim
+    k = m + 1
+    per_batch = max(1, regions_module._BATCH_BYTES // (8 * k * k))
+    return math.ceil(math.comb(n + m, k) / per_batch)
+
+
+class TestSharedBases:
+    """One rank test per batch of column subsets, shared by every region."""
+
+    def test_shared_mask_is_each_regions_own(self, uniform3_source):
+        singular = 0
+        for regions in source_regions(uniform3_source):
+            shared = rank_masks(regions[0])
+            singular += sum(int((~mask).sum()) for mask in shared)
+            for region in regions[1:]:
+                own = rank_masks(region)
+                assert len(own) == len(shared)
+                assert all(np.array_equal(a, b) for a, b in zip(own, shared))
+        assert singular > 0
+
+    @pytest.mark.slow
+    def test_points_equal_per_basis_loop(self, uniform3_source, monkeypatch):
+        every = source_regions(uniform3_source)
+        want = [[per_basis_extreme_points(r)[0] for r in regions]
+                for regions in every]
+        for batch_bytes in [regions_module._BATCH_BYTES, 1, 600]:
+            monkeypatch.setattr(regions_module, "_BATCH_BYTES", batch_bytes)
+            for regions, expected in zip(every, want):
+                got = extreme_points(regions)
+                assert len(got) == len(regions)
+                for pts, exp in zip(got, expected):
+                    pts = np.array([p.probs for p in pts])
+                    assert pts.shape == exp.shape
+                    assert np.array_equal(pts, exp)
+
+    # 16 KiB batches split the (6,6) regions' 792 subsets into 20 batches
+    @pytest.mark.parametrize("batch_bytes", [None, 1 << 14])
+    def test_one_rank_test_per_batch(self, uniform3_source, monkeypatch,
+                                     batch_bytes):
+        if batch_bytes is not None:
+            monkeypatch.setattr(regions_module, "_BATCH_BYTES", batch_bytes)
+        calls = []
+        original = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        n_regions, batches = set(), set()
+        for src in shared_basis_sources(uniform3_source):
+            regions = enumerate_regions(build_linear_forms(src), src.p_y)
+            n_regions.add(len(regions))
+            batches.add(batch_count(regions[0]))
+            calls.clear()
+            enumerate_spoints(src)
+            assert len(calls) == batch_count(regions[0])
+        assert len(n_regions) > 2
+        assert max(batches) > 1 if batch_bytes else max(batches) == 1
 
 
 class TestEnumerateSPoints:
