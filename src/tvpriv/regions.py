@@ -21,7 +21,10 @@ one-basis-at-a-time loop.
 Enumeration costs C(n+m, m+1) rank tests per source plus, in each of up
 to 2^m regions, one solve per full-rank basis.  That grows exponentially
 in the number of secret symbols, so hard caps reject oversized inputs
-instead of silently truncating.
+instead of silently truncating.  Each region's points, and then their
+union, are deduplicated in first-seen order at the cost of two sorts plus
+the near pairs (``_first_seen_rows``), where comparing each raw point
+with every kept one cost O(raw x kept).
 """
 
 from __future__ import annotations
@@ -178,16 +181,61 @@ def enumerate_regions(forms: list[LinearForm], p_y: Pmf) -> list[Region]:
 
 
 def _first_seen_rows(rows: np.ndarray) -> list[int]:
-    """Indices of the rows an in-order dedup keeps.
+    """Indices of the rows an in-order dedup keeps, in increasing order.
 
     A row is dropped when it lies within ``DEDUP_TOL`` in max-abs
-    distance of an earlier kept row, so first-seen coordinates win.
+    distance of an earlier kept row, so first-seen coordinates win.  The
+    rows are finite with entries of magnitude at most 1, as probability
+    rows are.
+
+    The result is exactly that of scanning the rows in order against
+    every kept row, which costs O(rows x kept); this costs one lexsort,
+    one sort and a check of each pair of distinct rows that share a
+    projection window, nearly all of which are near pairs:
+      * a row equal to an earlier one is always dropped: that one is
+        either kept, or dropped by a kept row just as close to both, so
+        one stable lexsort leaves each distinct row's first occurrence;
+      * rows within ``DEDUP_TOL`` of each other differ by at most
+        ``DEDUP_TOL * |w|_1`` along w, so sorting the distinct rows by
+        ``rows @ w`` and pairing those within twice that (the factor
+        absorbs the projection's rounding) finds every near pair, each
+        then confirmed by the max-abs distance.  With w_j = sqrt(j + 2)
+        rows that share coordinates, as facet points do, still spread
+        apart; any w would be exact, a worse one only pairs more rows;
+      * a row is dropped iff a confirmed earlier neighbour is kept,
+        settled in order of the later index.
     """
-    kept: list[int] = []
-    for i, row in enumerate(rows):
-        if not kept or np.abs(rows[kept] - row).max(axis=1).min() > DEDUP_TOL:
-            kept.append(i)
-    return kept
+    n_rows = len(rows)
+    if n_rows < 2:
+        return list(range(n_rows))
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(n_rows, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.sort(order[new])
+    distinct = rows[first]
+    weights = np.sqrt(np.arange(2.0, rows.shape[1] + 2.0))
+    proj = distinct @ weights
+    by = np.argsort(proj)
+    proj = proj[by]
+    width = 2.0 * DEDUP_TOL * float(weights.sum())
+    # span[a] sorted positions b > a have proj[b] - proj[a] <= width
+    span = (np.searchsorted(proj, proj + width, side="right")
+            - np.arange(1, len(proj) + 1))
+    if not span.any():
+        return first.tolist()
+    # each a once per partner, and b = a + 1, ..., a + span[a] beside it
+    a = np.repeat(np.arange(len(proj)), span)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(span) - span, span)
+    lo, hi = np.minimum(by[a], by[b]), np.maximum(by[a], by[b])
+    near = np.abs(distinct[lo] - distinct[hi]).max(axis=1) <= DEDUP_TOL
+    dropped: set[int] = set()
+    # (later, earlier) positions in first, by later position
+    for j, i in sorted(zip(hi[near].tolist(), lo[near].tolist())):
+        if i not in dropped:
+            dropped.add(j)
+    kept = first.tolist()
+    return [kept[k] for k in range(len(kept)) if k not in dropped]
 
 
 def _augmented(region: Region) -> tuple[np.ndarray, np.ndarray]:

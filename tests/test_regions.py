@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def same_point_set(points, expected, tol=1e-9):
         return False
     return all(any(np.max(np.abs(p - e)) <= tol for p in points)
                for e in expected)
+
+
+def pairwise_first_seen(rows):
+    """Reference dedup: scan the rows in order and keep a row unless it
+    lies within ``DEDUP_TOL`` in max-abs distance of a row kept before it."""
+    kept = []
+    for i, row in enumerate(rows):
+        if not kept or not (np.abs(rows[kept] - row).max(axis=1) <= DEDUP_TOL).any():
+            kept.append(i)
+    return kept
 
 
 def per_basis_extreme_points(region):
@@ -55,7 +66,7 @@ def per_basis_extreme_points(region):
         x[list(cols)] = sol
         point = np.clip(x[:n], 0.0, None)
         points.append(point / point.sum())
-    kept = [Pmf(points[k]).probs for k in _first_seen_rows(np.array(points))]
+    kept = [Pmf(points[k]).probs for k in pairwise_first_seen(np.array(points))]
     return np.array(kept), singular
 
 
@@ -368,17 +379,143 @@ class TestSharedBases:
         assert max(batches) > 1 if batch_bytes else max(batches) == 1
 
 
+def facet_points(rng, count, width):
+    """Simplex points with about half their coordinates exactly 0."""
+    pts = rng.dirichlet(np.ones(width), size=count)
+    pts[rng.random((count, width)) < 0.5] = 0.0
+    pts[pts.sum(axis=1) == 0.0, 0] = 1.0
+    return pts / pts.sum(axis=1, keepdims=True)
+
+
+def near_copies(rng, base, count, offsets):
+    """``count`` rows drawn from ``base``, each coordinate moved by one of
+    ``offsets`` (in units of ``DEDUP_TOL``) with probability 1/3."""
+    rows = base[rng.integers(0, len(base), size=count)]
+    moves = rng.choice(offsets, size=rows.shape) * DEDUP_TOL
+    return rows + np.where(rng.random(rows.shape) < 1 / 3, moves, 0.0)
+
+
+# in units of DEDUP_TOL; 1e-7 of it is rounding-sized
+OFFSETS = [0.0, 1e-7, -1e-7, 0.5, -0.5, 0.95, -0.95, 1.0, -1.0, 1.5, -1.5,
+           3.0, -3.0]
+
+
+def dedup_family():
+    """Seeded inputs for the dedup: (name, rows)."""
+    rng = np.random.default_rng(149)
+    for width in range(1, 11):
+        yield f"empty-{width}", np.empty((0, width))
+        yield f"one-{width}", rng.dirichlet(np.ones(width))[None]
+        for case in range(6):
+            base = facet_points(rng, int(rng.integers(1, 15)), width)
+            rows = near_copies(rng, base, int(rng.integers(2, 80)), OFFSETS)
+            yield f"facets-{width}-{case}", rows
+            # whole rows moved: near pairs then differ by up to DEDUP_TOL
+            # times the weight sum along a positive projection
+            picks = base[rng.integers(0, len(base), size=len(rows))]
+            shifts = rng.choice(OFFSETS, size=(len(rows), 1)) * DEDUP_TOL
+            yield f"shifted-{width}-{case}", picks + shifts
+            # exact repeats of rows that are themselves dropped or kept
+            yield f"repeats-{width}-{case}", rows[rng.integers(0, len(rows),
+                                                                size=len(rows))]
+    # a chain a, b, c, ... along one coordinate, 0.6 DEDUP_TOL apart, so
+    # neighbours are near and rows two apart are not; each order
+    chain = np.tile([0.25, 0.25, 0.5], (7, 1))
+    chain[:, 0] += 0.6 * DEDUP_TOL * np.arange(7)
+    yield "chain", chain
+    yield "chain-reversed", chain[::-1]
+    yield "chain-shuffled", chain[rng.permutation(7)]
+    # the size of a (6,6) merge: ~300 points, each seen about six times
+    base = facet_points(rng, 300, 6)
+    yield "merge-sized", near_copies(rng, base, 2000, [0.0, 1e-7, 0.5, -1.0, 3.0])
+
+
+class TestFirstSeenRows:
+    """``_first_seen_rows`` keeps exactly the rows the pairwise scan keeps."""
+
+    @pytest.mark.parametrize("rows", [pytest.param(rows, id=name)
+                                      for name, rows in dedup_family()])
+    def test_matches_pairwise_scan(self, rows):
+        assert _first_seen_rows(rows) == pairwise_first_seen(rows)
+
+    def test_family_has_dropped_rows_and_chains(self):
+        dropped = kept_near = 0
+        for _, rows in dedup_family():
+            kept = np.zeros(len(rows), dtype=bool)
+            kept[pairwise_first_seen(rows)] = True
+            dropped += int((~kept).sum())
+            # a kept row near an earlier dropped row: a chain link
+            kept_near += sum(
+                bool((np.abs(rows[:i][~kept[:i]] - rows[i]).max(axis=1) <= DEDUP_TOL).any())
+                for i in np.flatnonzero(kept))
+        assert dropped > 1000
+        assert kept_near > 20
+
+    def test_chains_and_repeats(self):
+        a = np.array([0.25, 0.25, 0.5])
+        b, c = a + [0.6 * DEDUP_TOL, 0, 0], a + [1.2 * DEDUP_TOL, 0, 0]
+        # b goes with a; c is near only b, which is gone, so c stays
+        assert _first_seen_rows(np.array([a, b, c])) == [0, 2]
+        assert _first_seen_rows(np.array([c, b, a])) == [0, 2]
+        # b first takes both neighbours
+        assert _first_seen_rows(np.array([b, a, c])) == [0]
+        # repeats of a dropped row go too, wherever they stand
+        assert _first_seen_rows(np.array([a, b, b, c, b])) == [0, 3]
+        assert _first_seen_rows(np.array([b, a, a, c])) == [0]
+
+    def test_offsets_at_and_beyond_tolerance(self):
+        base = np.array([0.0, 0.125, 0.375, 0.5])
+        for scale in (1.0, -1.0, 1.5, -1.5, 3.0, -3.0):
+            for j in range(4):
+                moved = base.copy()
+                moved[j] += scale * DEDUP_TOL
+                rows = np.array([base, moved, base])
+                want = pairwise_first_seen(rows)
+                assert _first_seen_rows(rows) == want
+                if abs(scale) > 1.0:
+                    assert want == [0, 1]
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 6)])
+    def test_source_rows(self, monkeypatch, shape):
+        seen = []
+        original = regions_module._first_seen_rows
+
+        def recorded(rows):
+            seen.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(regions_module, "_first_seen_rows", recorded)
+        rng = np.random.default_rng(151)
+        for _ in range(2):
+            enumerate_spoints(random_source(rng, *shape))
+        assert max(len(rows) for rows in seen) > 300
+        for rows in seen:
+            assert original(rows) == pairwise_first_seen(rows)
+
+    def test_enumeration_memory(self):
+        # an in-order pass over near pairs holds a few rows per pair; a
+        # window that pairs rows sharing a coordinate held about three
+        # times the 0.7 MiB that enumeration itself needs
+        rng = np.random.default_rng(157)
+        for _ in range(2):
+            src = random_source(rng, 6, 6)
+            enumerate_spoints(src)  # first-call allocations are not the dedup's
+            tracemalloc.start()
+            try:
+                enumerate_spoints(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.2 * 2**20
+
+
 class TestEnumerateSPoints:
     def test_dedup_matches_pairwise_scan(self):
         rng = np.random.default_rng(127)
         base = rng.dirichlet(np.ones(4), size=12)
         shift = rng.choice([0.0, 5e-10, 3e-9], size=(60, 1))
         rows = base[rng.integers(0, 12, size=60)] + shift
-        kept = []
-        for i, row in enumerate(rows):
-            if not any(np.max(np.abs(row - rows[k])) <= DEDUP_TOL
-                       for k in kept):
-                kept.append(i)
+        kept = pairwise_first_seen(rows)
         assert _first_seen_rows(rows) == kept
         # 3e-9 shifts are new points, 5e-10 shifts merge with their twin
         assert 12 < len(kept) < 60
