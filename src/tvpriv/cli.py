@@ -62,8 +62,11 @@ def _sig12(x):
 def _emit(text: str, out_path: str | None) -> None:
     """Write to ``--out`` when given, else to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SourceFileError(f"--out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -211,13 +214,13 @@ def cmd_regions(args) -> int:
                 "sign_pattern": list(region.sign_pattern),
                 "A_tilde": region.a_tilde.tolist(),
                 "b_tilde": region.b_tilde.tolist(),
-                "extreme_points": [p.probs.tolist() for p in points],
+                "extreme_points": points.tolist(),
             }
             for region, points in zip(regions, region_points)
         ],
         "spoints": [
-            {"point": p.probs.tolist(), "f_value": float(v)}
-            for p, v in zip(spoints.points, spoints.f_values)
+            {"point": p, "f_value": v}
+            for p, v in zip(spoints.points.tolist(), spoints.f_values.tolist())
         ],
     }
     _emit_json(doc, args.out)

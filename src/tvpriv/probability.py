@@ -211,4 +211,5 @@ def entropy(p) -> float:
     """Shannon entropy in bits, with the convention 0 log 0 = 0."""
     v = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     nz = v[v > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - s, not -s: a point mass has s = 0.0, and -0.0 would print as -0
+    return float(0.0 - (nz * np.log2(nz)).sum())

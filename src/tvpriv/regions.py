@@ -10,7 +10,9 @@ r_i . (x - p_Y) partitions the simplex into at most 2^m polytopes on
 which f is affine, and the optimal release mechanism only ever needs
 posteriors drawn from the extreme points of those polytopes.  This
 module enumerates the regions and their extreme points via basic
-feasible solutions of the slack-augmented equality systems.  The
+feasible solutions of the slack-augmented equality systems.  Points
+travel as one read-only (K, |Y|) float array, one simplex point per row,
+from ``extreme_points`` to the LP's columns.  The
 candidate bases are gathered into stacked batches of at most about
 ``_BATCH_BYTES`` of matrices.  A region's sign pattern does not change
 which bases are singular, so every batch gets one rank test for all
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import JointSource, Pmf
+from .probability import JointSource, Pmf, _frozen
 from .tolerances import (DEDUP_TOL, DIRECTION_TOL, MEMBERSHIP_TOL, RANK_TOL,
                          ZERO_FORM_TOL)
 
@@ -55,7 +57,7 @@ class DegenerateSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """One signed term of the cost: value(x) = coeffs . x + offset.
+    """One signed term of the cost: coeffs . x + offset.
 
     Built from row r of P_{X|Y} as coeffs = r, offset = -r . p_Y, so the
     value is r . (x - p_Y).  ``row`` records the source row.
@@ -64,9 +66,6 @@ class LinearForm:
     coeffs: np.ndarray
     offset: float
     row: int
-
-    def value(self, x) -> float:
-        return float(np.dot(self.coeffs, x) + self.offset)
 
 
 def build_linear_forms(src: JointSource) -> list[LinearForm]:
@@ -86,9 +85,22 @@ def build_linear_forms(src: JointSource) -> list[LinearForm]:
     return forms
 
 
-def f_value(forms: list[LinearForm], x) -> float:
-    """The privacy cost (1/2) sum_i |form_i(x)| of a simplex point."""
-    return 0.5 * sum(abs(f.value(x)) for f in forms)
+def f_value(forms: list[LinearForm], x) -> float | np.ndarray:
+    """The privacy cost (1/2) sum_i |form_i(x)| of a simplex point, or of
+    each row of a (K, |Y|) stack of them.
+
+    BLAS multiplies one point by another kernel than a stack, so a point's
+    cost may differ from its row's in the last bit.
+    """
+    x = np.asarray(x, dtype=float)
+    coeffs = np.array([f.coeffs for f in forms]).reshape(len(forms), x.shape[-1])
+    terms = np.abs(x @ coeffs.T + np.array([f.offset for f in forms]))
+    # added form by form: a .sum(axis=-1) reorders the additions from eight
+    # forms on, which would move the bits of f_values and so of the LP
+    total = np.zeros(x.shape[:-1])
+    for term in terms.T:
+        total = total + term
+    return 0.5 * total
 
 
 @dataclass(frozen=True)
@@ -262,8 +274,10 @@ def _subset_batches(n_cols: int, k: int):
         yield cols
 
 
-def extreme_points(regions: list[Region]) -> list[list[Pmf]]:
+def extreme_points(regions: list[Region]) -> list[np.ndarray]:
     """Extreme points of each region of one source, in region order.
+
+    Each region's points are one read-only (K, |Y|) array, a point per row.
 
     Slack variables turn A x <= b into equalities; together with the
     simplex equality the augmented system A' x' = b', x' >= 0 has full
@@ -308,11 +322,14 @@ def extreme_points(regions: list[Region]) -> list[list[Pmf]]:
     out = []
     for pts in points:
         rows = np.concatenate(pts)
-        out.append([Pmf(rows[i]) for i in _first_seen_rows(rows)])
+        kept = rows[_first_seen_rows(rows)]
+        # each row sums to 1 only up to rounding; dividing once more by its
+        # sum keeps the bits that the support set and the LP were pinned at
+        out.append(_frozen(kept / kept.sum(axis=1, keepdims=True)))
     return out
 
 
-def region_extreme_points(region: Region) -> list[Pmf]:
+def region_extreme_points(region: Region) -> np.ndarray:
     """Extreme points of one region: the one-region case of ``extreme_points``."""
     return extreme_points([region])[0]
 
@@ -321,13 +338,14 @@ def region_extreme_points(region: Region) -> list[Pmf]:
 class SPointSet:
     """The deduplicated union of all regions' extreme points.
 
-    Points keep the order in which the regions, taken in pattern order,
-    first produce them; near-duplicates keep the first-seen coordinates.
+    ``points`` is one read-only (K, |Y|) array, a point per row.  Points
+    keep the order in which the regions, taken in pattern order, first
+    produce them; near-duplicates keep the first-seen coordinates.
     ``f_values[k]`` caches the privacy cost at point k, and
     ``dropped_rows`` lists the rows of P_{X|Y} that gave no form.
     """
 
-    points: list[Pmf]
+    points: np.ndarray
     f_values: np.ndarray
     dropped_rows: tuple[int, ...]
 
@@ -335,8 +353,8 @@ class SPointSet:
         return len(self.points)
 
     def as_matrix(self) -> np.ndarray:
-        """Points stacked as columns (|Y| x K), for LP assembly."""
-        return np.array([p.probs for p in self.points]).T
+        """Points as columns (|Y| x K), for LP assembly."""
+        return self.points.T
 
 
 def enumerate_spoints(src: JointSource) -> SPointSet:
@@ -347,7 +365,7 @@ def enumerate_spoints(src: JointSource) -> SPointSet:
 
 
 def merge_extreme_points(src: JointSource, forms: list[LinearForm],
-                         region_points: list[list[Pmf]]) -> SPointSet:
+                         region_points: list[np.ndarray]) -> SPointSet:
     """The support set from each region's extreme points, in region order.
 
     For callers that also need the per-region points, so that each
@@ -355,7 +373,6 @@ def merge_extreme_points(src: JointSource, forms: list[LinearForm],
     """
     kept_rows = {f.row for f in forms}
     dropped = tuple(i for i in range(src.n_x) if i not in kept_rows)
-    raw = [pt for pts in region_points for pt in pts]
-    points = [raw[k] for k in _first_seen_rows(np.array([p.probs for p in raw]))]
-    fvals = np.array([f_value(forms, p.probs) for p in points])
-    return SPointSet(points, fvals, dropped)
+    raw = np.concatenate(region_points)
+    points = _frozen(raw[_first_seen_rows(raw)])
+    return SPointSet(points, f_value(forms, points), dropped)

@@ -84,7 +84,7 @@ def test_criterion_2_worked_ternary_example(uniform3_source):
     systems_ok = got == expected and len(regions) == 4
 
     seg = next(r for r in regions if r.sign_pattern == (1, 1))
-    pts = [p.probs for p in region_extreme_points(seg)]
+    pts = region_extreme_points(seg)
     wanted = [np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 0.5])]
     points_ok = len(pts) == 2 and all(
         any(np.max(np.abs(p - w)) <= 1e-9 for p in pts) for w in wanted)

@@ -484,3 +484,40 @@ class TestRoundTripAndDeterminism:
                     "--epsilon", str(1 / 15), "--out", str(out)]) == 0
         text = out.read_text()
         assert "0.459147917027" in text
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", [
+        ["solve", BINARY, "--utility", "mi", "--epsilon", "0.03"],
+        ["curve", BINARY, "--utility", "mi", "--grid", "3"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/dir/out.txt", "."])
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys,
+                                                command, target):
+        out = tmp_path / target
+        assert run([*command, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "--out" in err and "internal error" not in err
+
+
+class TestPointMassSource:
+    """A one-symbol Y: every utility and leakage is exactly 0, printed +0."""
+
+    @pytest.fixture
+    def point_mass(self, tmp_path):
+        path = tmp_path / "point_mass.json"
+        path.write_text(json.dumps({"p_y": [1.0],
+                                    "P_x_given_y": [[0.4], [0.6]]}))
+        return str(path)
+
+    def test_solve_prints_positive_zero(self, capsys, point_mass):
+        assert run(["solve", point_mass, "--utility", "mi",
+                    "--epsilon", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("utility", "achieved_t"):
+            assert math.copysign(1.0, doc[key]) == 1.0 and doc[key] == 0.0
+
+    def test_curve_prints_positive_zero(self, capsys, point_mass):
+        assert run(["curve", point_mass, "--utility", "mi", "--grid", "3"]) == 0
+        assert capsys.readouterr().out == "epsilon,utility,achieved_t\n0,0,0\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -198,6 +200,11 @@ class TestCompose:
 class TestEntropy:
     def test_deterministic(self):
         assert entropy(Pmf(np.array([1.0, 0.0]))) == 0.0
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0]])
+    def test_point_mass_is_positive_zero(self, probs):
+        # -0.0 == 0.0, but it prints as -0.0 in JSON and -0 in CSV
+        assert math.copysign(1.0, entropy(Pmf(np.array(probs)))) == 1.0
 
     def test_binary_third(self):
         assert entropy(Pmf(np.array([1 / 3, 2 / 3]))) == pytest.approx(

@@ -11,7 +11,7 @@ from tvpriv import (Channel, JointSource, LinearForm, Pmf, TooManyForms,
 from tvpriv import regions as regions_module
 from tvpriv.regions import (DegenerateSystem, Region, _first_seen_rows,
                             extreme_points)
-from tvpriv.tolerances import DEDUP_TOL, RANK_TOL
+from tvpriv.tolerances import DEDUP_TOL, PROB_ATOL, RANK_TOL
 
 from conftest import random_source
 
@@ -126,6 +126,18 @@ class TestFValue:
         assert f_value(forms, np.array([1.0, 0.0, 0.0])) == pytest.approx(
             1 / 3, abs=1e-12)
 
+    def test_stack_equals_per_form_sum_bitwise(self, uniform3_source):
+        # f_values, the LP's budget row, keep the bits of this sum; the
+        # (9, 3) source's nine forms pass numpy's pairwise-summation block
+        rng = np.random.default_rng(139)
+        sources = shared_basis_sources(uniform3_source) + [random_source(rng, 9, 3)]
+        for src in sources:
+            forms = build_linear_forms(src)
+            points = enumerate_spoints(src).points
+            want = [0.5 * sum(abs(float(np.dot(f.coeffs, x) + f.offset))
+                              for f in forms) for x in points]
+            assert f_value(forms, points).tolist() == want
+
 
 class TestEnumerateRegions:
     def test_four_printed_systems(self, uniform3_source):
@@ -162,8 +174,7 @@ class TestEnumerateRegions:
         assert len(regions) == 2
         halves = []
         for r in regions:
-            pts = {tuple(np.round(p.probs, 9))
-                   for p in region_extreme_points(r)}
+            pts = {tuple(np.round(p, 9)) for p in region_extreme_points(r)}
             halves.append(pts)
         assert {(0.3, 0.7), (1.0, 0.0)} in halves
         assert {(0.3, 0.7), (0.0, 1.0)} in halves
@@ -177,8 +188,7 @@ class TestEnumerateRegions:
         # distinct, so four sign patterns survive (two are the split line)
         assert len(regions) == 4
         full = [r for r in regions
-                if any(f_value(forms, p.probs) > 1e-9
-                       for p in region_extreme_points(r))]
+                if np.any(f_value(forms, region_extreme_points(r)) > 1e-9)]
         assert len(full) == 2
 
     def test_one_region_when_independent(self, independent_source):
@@ -212,7 +222,7 @@ class TestRegionExtremePoints:
         forms = build_linear_forms(uniform3_source)
         regions = enumerate_regions(forms, uniform3_source.p_y)
         seg = next(r for r in regions if r.sign_pattern == (1, 1))
-        pts = sorted([p.probs.tolist() for p in region_extreme_points(seg)])
+        pts = sorted(region_extreme_points(seg).tolist())
         assert np.allclose(pts[0], [0.0, 1.0, 0.0], atol=1e-9)
         assert np.allclose(pts[1], [0.5, 0.0, 0.5], atol=1e-9)
 
@@ -229,7 +239,7 @@ class TestRegionExtremePoints:
     def test_whole_simplex_gives_unit_vectors(self):
         region = Region((), np.zeros((0, 4)), np.zeros(0))
         pts = region_extreme_points(region)
-        got = sorted(tuple(np.round(p.probs, 9)) for p in pts)
+        got = sorted(tuple(np.round(p, 9)) for p in pts)
         expected = sorted(tuple(row) for row in np.eye(4))
         assert got == expected
 
@@ -240,7 +250,7 @@ class TestRegionExtremePoints:
         union = set()
         for r in regions:
             for p in region_extreme_points(r):
-                union.add(tuple(np.round(p.probs, 9)))
+                union.add(tuple(np.round(p, 9)))
         assert union == {(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)}
 
 
@@ -261,7 +271,7 @@ class TestBatchedBases:
         for region in regions:
             want, n_singular = per_basis_extreme_points(region)
             singular += n_singular
-            got = np.array([p.probs for p in region_extreme_points(region)])
+            got = region_extreme_points(region)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
         assert singular > 0
@@ -349,7 +359,6 @@ class TestSharedBases:
                 got = extreme_points(regions)
                 assert len(got) == len(regions)
                 for pts, exp in zip(got, expected):
-                    pts = np.array([p.probs for p in pts])
                     assert pts.shape == exp.shape
                     assert np.array_equal(pts, exp)
 
@@ -510,6 +519,34 @@ class TestFirstSeenRows:
 
 
 class TestEnumerateSPoints:
+    def test_points_are_read_only_probability_rows(self, uniform3_source):
+        for src in shared_basis_sources(uniform3_source):
+            regions = enumerate_regions(build_linear_forms(src), src.p_y)
+            sp = enumerate_spoints(src)
+            for pts in [*extreme_points(regions), sp.points]:
+                assert pts.ndim == 2 and pts.shape[1] == src.n_y
+                assert not pts.flags.writeable
+                # what Pmf checked of each point when points were Pmfs
+                assert pts.min() >= 0.0
+                assert np.abs(pts.sum(axis=1) - 1.0).max() <= PROB_ATOL
+            assert sp.as_matrix().shape == (src.n_y, len(sp))
+            with pytest.raises(ValueError):
+                sp.points[0, 0] = 0.5
+
+    def test_builds_no_pmf(self, uniform3_source, monkeypatch):
+        sources = shared_basis_sources(uniform3_source)
+        built = []
+        validate = Pmf.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Pmf, "__post_init__", counting)
+        for src in sources:
+            enumerate_spoints(src)
+        assert built == []
+
     def test_dedup_matches_pairwise_scan(self):
         rng = np.random.default_rng(127)
         base = rng.dirichlet(np.ones(4), size=12)
@@ -522,13 +559,13 @@ class TestEnumerateSPoints:
 
     def test_binary_structure(self, binary_source):
         sp = enumerate_spoints(binary_source)
-        assert same_point_set([p.probs for p in sp.points],
+        assert same_point_set(sp.points,
                               [(1 / 3, 2 / 3), (1.0, 0.0), (0.0, 1.0)])
         assert sp.dropped_rows == ()
 
     def test_uniform3_contents(self, uniform3_source):
         sp = enumerate_spoints(uniform3_source)
-        got = {tuple(np.round(p.probs, 9)) for p in sp.points}
+        got = {tuple(np.round(p, 9)) for p in sp.points}
         assert (0.0, 1.0, 0.0) in got
         assert (0.5, 0.0, 0.5) in got
         for v in np.eye(3):
@@ -538,7 +575,7 @@ class TestEnumerateSPoints:
 
     def test_independent_source_vertices_only(self, independent_source):
         sp = enumerate_spoints(independent_source)
-        got = sorted(tuple(np.round(p.probs, 9)) for p in sp.points)
+        got = sorted(tuple(np.round(p, 9)) for p in sp.points)
         assert got == sorted(tuple(v) for v in np.eye(3))
         assert np.all(sp.f_values == 0.0)
 
@@ -548,7 +585,7 @@ class TestEnumerateSPoints:
             regions = enumerate_regions(forms, src.p_y)
             sp = enumerate_spoints(src)
             for point in sp.points:
-                best = max(r.membership_slack(point.probs) for r in regions)
+                best = max(r.membership_slack(point) for r in regions)
                 assert best >= -1e-9
 
 
@@ -581,14 +618,14 @@ class TestGeometricInvariants:
             forms = build_linear_forms(src)
             regions = enumerate_regions(forms, src.p_y)
             for region in regions:
-                pts = [p.probs for p in region_extreme_points(region)]
+                pts = region_extreme_points(region)
                 if len(pts) < 2:
                     continue
                 for _ in range(20):
                     w1 = rng.dirichlet(np.ones(len(pts)))
                     w2 = rng.dirichlet(np.ones(len(pts)))
-                    x1 = np.array(pts).T @ w1
-                    x2 = np.array(pts).T @ w2
+                    x1 = pts.T @ w1
+                    x2 = pts.T @ w2
                     lam = rng.uniform()
                     mix = lam * x1 + (1 - lam) * x2
                     expect = lam * f_value(forms, x1) + \
@@ -616,8 +653,7 @@ class TestGeometricInvariants:
             forms = build_linear_forms(src)
             regions = enumerate_regions(forms, src.p_y)
             for region in regions:
-                for p in region_extreme_points(region):
-                    x = p.probs
+                for x in region_extreme_points(region):
                     assert region.membership_slack(x) >= -1e-9
                     active = [np.ones(src.n_y)]
                     resid = region.a_tilde @ x - region.b_tilde
@@ -666,7 +702,7 @@ class TestGeometricInvariants:
                         continue
                     if not any(np.max(np.abs(x - q)) <= 1e-8 for q in oracle):
                         oracle.append(x)
-                bfs = [p.probs for p in region_extreme_points(region)]
+                bfs = region_extreme_points(region)
                 assert len(bfs) == len(oracle)
                 for x in oracle:
                     assert any(np.max(np.abs(x - q)) <= 1e-8 for q in bfs)

@@ -206,7 +206,7 @@ class TestMechanismFromWeights:
     def test_weight_on_prior_gives_single_symbol(self, binary_source):
         sp = enumerate_spoints(binary_source)
         prior_idx = next(i for i, p in enumerate(sp.points)
-                         if np.allclose(p.probs, [1 / 3, 2 / 3], atol=1e-9))
+                         if np.allclose(p, [1 / 3, 2 / 3], atol=1e-9))
         w = np.zeros(len(sp))
         w[prior_idx] = 1.0
         mech = mechanism_from_weights(w, sp, binary_source, MI)
@@ -220,7 +220,7 @@ class TestMechanismFromWeights:
         sp = enumerate_spoints(binary_source)
         w = np.full(len(sp), 1e-12)
         prior_idx = next(i for i, p in enumerate(sp.points)
-                         if np.allclose(p.probs, [1 / 3, 2 / 3], atol=1e-9))
+                         if np.allclose(p, [1 / 3, 2 / 3], atol=1e-9))
         w[prior_idx] = 1.0
         mech = mechanism_from_weights(w, sp, binary_source, MI)
         assert mech.channel_u_given_y.n_outputs == 1
