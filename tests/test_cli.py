@@ -437,6 +437,17 @@ class TestVerifyCommand:
         assert run(["verify", "--suite", "bounds", "--instances", "40"]) == 0
         assert "suite bounds: PASS" in capsys.readouterr().out
 
+    # the suites' whole report, committed from an earlier build and
+    # compared byte for byte
+    @pytest.mark.parametrize("dump, flags", [
+        ("verify_default.txt", []),
+        ("verify_seed7_instances50.txt", ["--seed", "7", "--instances", "50"]),
+    ], ids=["default", "seed7_instances50"])
+    def test_matches_committed_stdout(self, capsys, dump, flags):
+        assert run(["verify", *flags]) == 0
+        want = (STDOUT_DATA / dump).read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == want
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_rejected(self, capsys, instances):
         assert run(["verify", "--instances", instances]) == 2
