@@ -12,10 +12,9 @@ All logarithms are base 2; every information quantity is in bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .probability import (Channel, DimensionMismatch, Pmf, bayes_invert,
                           entropy)
 from .tolerances import CHAIN_TOL
@@ -90,18 +89,26 @@ def bounds_from_tv(t: float, p_x: Pmf) -> tuple[float, float, float]:
     return mi_lower, ml_upper, ml_lower
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(Value):
     """All leakage measures of one (p_U, p_{X|U}, p_X) triple, plus the
-    bound chain they must satisfy."""
+    bound chain they must satisfy.  ``__slots__`` lists the fields in
+    report order."""
 
-    t_leakage: float
-    mutual_info_bits: float
-    maximal_leakage_bits: float
-    max_info_leakage_bits: float
-    bound_mi_lower: float
-    bound_ml_upper: float
-    bound_ml_lower: float
+    __slots__ = ("t_leakage", "mutual_info_bits", "maximal_leakage_bits",
+                 "max_info_leakage_bits", "bound_mi_lower", "bound_ml_upper",
+                 "bound_ml_lower")
+
+    def __init__(self, t_leakage: float, mutual_info_bits: float,
+                 maximal_leakage_bits: float, max_info_leakage_bits: float,
+                 bound_mi_lower: float, bound_ml_upper: float,
+                 bound_ml_lower: float):
+        object.__setattr__(self, "t_leakage", t_leakage)
+        object.__setattr__(self, "mutual_info_bits", mutual_info_bits)
+        object.__setattr__(self, "maximal_leakage_bits", maximal_leakage_bits)
+        object.__setattr__(self, "max_info_leakage_bits", max_info_leakage_bits)
+        object.__setattr__(self, "bound_mi_lower", bound_mi_lower)
+        object.__setattr__(self, "bound_ml_upper", bound_ml_upper)
+        object.__setattr__(self, "bound_ml_lower", bound_ml_lower)
 
     @property
     def slack_mi_lower(self) -> float:
@@ -130,23 +137,24 @@ def leakage_report(p_u: Pmf, p_x_given_u: Channel, p_x: Pmf) -> LeakageReport:
 # Markov chains A - B - C: post-processing and linkage predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(Value):
     """A chain A - B - C parametrized as (p_C, p_{B|C}, p_{A|B}).
 
     The factorization p(a,b,c) = p(a|b) p(b|c) p(c) is Markov by
     construction, which is what the consistency predicates assume.
     """
 
-    p_c: Pmf
-    channel_b_given_c: Channel
-    channel_a_given_b: Channel
+    __slots__ = ("p_c", "channel_b_given_c", "channel_a_given_b")
 
-    def __post_init__(self):
-        if self.channel_b_given_c.n_inputs != len(self.p_c):
+    def __init__(self, p_c: Pmf, channel_b_given_c: Channel,
+                 channel_a_given_b: Channel):
+        if channel_b_given_c.n_inputs != len(p_c):
             raise DimensionMismatch("p_{B|C} width must equal |C|")
-        if self.channel_a_given_b.n_inputs != self.channel_b_given_c.n_outputs:
+        if channel_a_given_b.n_inputs != channel_b_given_c.n_outputs:
             raise DimensionMismatch("p_{A|B} width must equal |B|")
+        object.__setattr__(self, "p_c", p_c)
+        object.__setattr__(self, "channel_b_given_c", channel_b_given_c)
+        object.__setattr__(self, "channel_a_given_b", channel_a_given_b)
 
     def p_b(self) -> Pmf:
         return Pmf(self.channel_b_given_c.matrix @ self.p_c.probs)
@@ -174,12 +182,14 @@ def avg_pnorm_leakage(p_w: Pmf, channel_v_given_w: Channel, p_v: Pmf,
     return float(np.dot(p_w.probs, dists))
 
 
-@dataclass(frozen=True)
-class SlackResult:
+class SlackResult(Value):
     """Outcome of an inequality check: truth value plus the signed slack."""
 
-    ok: bool
-    slack: float
+    __slots__ = ("ok", "slack")
+
+    def __init__(self, ok: bool, slack: float):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "slack", slack)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -22,11 +22,11 @@ constraints must surface as an ordinary infeasible result to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._value import Value
 from .tolerances import FEAS_TOL, PIVOT_TOL
 
 OPTIMAL = "optimal"
@@ -34,51 +34,53 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Value):
     """min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0."""
 
-    c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
+    __slots__ = ("c", "a_eq", "b_eq", "a_ub", "b_ub")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "c", c)
+    def __init__(self, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        fields = {"c": c, "a_eq": a_eq, "b_eq": b_eq, "a_ub": a_ub, "b_ub": b_ub}
         for name in ("a_eq", "a_ub"):
-            a = getattr(self, name)
+            a = fields[name]
             if a is not None:
                 a = np.atleast_2d(np.asarray(a, dtype=float))
                 if a.shape[1] != c.size:
                     raise ValueError(f"{name} has {a.shape[1]} columns, expected {c.size}")
-                object.__setattr__(self, name, a)
+                fields[name] = a
         for aname, bname in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
-            a, b = getattr(self, aname), getattr(self, bname)
+            a, b = fields[aname], fields[bname]
             if (a is None) != (b is None):
                 raise ValueError(f"{aname} and {bname} must be given together")
             if b is not None:
                 b = np.atleast_1d(np.asarray(b, dtype=float))
                 if b.size != a.shape[0]:
                     raise ValueError(f"{bname} has {b.size} rows, expected {a.shape[0]}")
-                object.__setattr__(self, bname, b)
+                fields[bname] = b
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Value):
     """A basic solution: nonzeros are confined to the (independent) basis."""
 
-    status: str
-    weights: np.ndarray | None = None
-    value: float | None = None
-    basis: tuple[int, ...] = ()
-    # (form, kept rows, basic column of each kept row) for ``dual``
-    _final_basis: tuple | None = field(default=None, repr=False, compare=False)
+    # ``__dict__`` holds ``dual`` once read
+    __slots__ = ("status", "weights", "value", "basis", "_final_basis", "__dict__")
+
+    def __init__(self, status: str, weights: np.ndarray | None = None,
+                 value: float | None = None, basis: tuple[int, ...] = (),
+                 _final_basis: tuple | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "basis", basis)
+        # (form, kept rows, basic column of each kept row) for ``dual``
+        object.__setattr__(self, "_final_basis", _final_basis)
 
     def __bool__(self) -> bool:
         return self.status == OPTIMAL
@@ -193,8 +195,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     return body, kept_basis, kept_original
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Value):
     """One problem's constraints as ``A x = b, x >= 0``, right-hand side apart.
 
     Rows are the equality rows, then the inequality rows with one slack
@@ -204,9 +205,12 @@ class StandardForm:
     identically to :func:`solve`.
     """
 
-    a: np.ndarray
-    c: np.ndarray
-    n_struct: int
+    __slots__ = ("a", "c", "n_struct")
+
+    def __init__(self, a: np.ndarray, c: np.ndarray, n_struct: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n_struct", n_struct)
 
     def solve(self, b) -> LpSolution:
         """Solve to a basic optimal solution (deterministic Bland pivoting)."""

@@ -9,10 +9,9 @@ renormalized exactly once at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .tolerances import PROB_ATOL
 
 
@@ -38,18 +37,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(Value):
     """A probability mass function over a finite alphabet.
 
     Entries must be finite, nonnegative and sum to 1 within ``PROB_ATOL``; the
     stored vector is renormalized so it sums to 1 exactly.
     """
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        v = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs):
+        v = np.asarray(probs, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("pmf must be a non-empty 1-D vector")
         ok = v.min() >= 0  # false for a NaN or -inf entry
@@ -66,14 +64,13 @@ class Pmf:
         return self.probs.size
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Value):
     """A column-stochastic matrix: column j is the output pmf given input j."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("channel must be a non-empty 2-D matrix")
         ok = m.min() >= 0  # false for a NaN or -inf entry
@@ -101,8 +98,7 @@ class Channel:
         return self.matrix[:, j]
 
 
-@dataclass(frozen=True)
-class JointSource:
+class JointSource(Value):
     """A joint source (p_Y, P_{X|Y}) with X the secret and Y the data.
 
     Both marginals must be strictly positive: a zero-mass symbol could
@@ -111,21 +107,22 @@ class JointSource:
     numeric values to the Y symbols for squared-error utilities.
     """
 
-    p_y: Pmf
-    channel_x_given_y: Channel
-    y_values: np.ndarray | None = None
+    __slots__ = ("p_y", "channel_x_given_y", "y_values")
 
-    def __post_init__(self):
-        if self.channel_x_given_y.n_inputs != len(self.p_y):
+    def __init__(self, p_y: Pmf, channel_x_given_y: Channel,
+                 y_values: np.ndarray | None = None):
+        if channel_x_given_y.n_inputs != len(p_y):
             raise DimensionMismatch(
-                f"channel has {self.channel_x_given_y.n_inputs} input symbols, "
-                f"p_y has {len(self.p_y)}")
-        if np.any(self.p_y.probs <= 0):
+                f"channel has {channel_x_given_y.n_inputs} input symbols, "
+                f"p_y has {len(p_y)}")
+        object.__setattr__(self, "p_y", p_y)
+        object.__setattr__(self, "channel_x_given_y", channel_x_given_y)
+        if np.any(p_y.probs <= 0):
             raise ZeroMassSymbol("p_y must be strictly positive")
         if np.any(self.marginal_x().probs <= 0):
             raise ZeroMassSymbol("induced p_x has a zero-mass symbol")
-        if self.y_values is not None:
-            yv = np.array(self.y_values, dtype=float)
+        if y_values is not None:
+            yv = np.array(y_values, dtype=float)
             if yv.shape != (len(self.p_y),):
                 raise DimensionMismatch("y_values length must equal |Y|")
             if not np.all(np.isfinite(yv)):
@@ -133,7 +130,8 @@ class JointSource:
             # sort-and-diff rather than np.unique, which imports numpy.ma
             if np.any(np.diff(np.sort(yv)) == 0):
                 raise ValueError("y_values must be distinct")
-            object.__setattr__(self, "y_values", _frozen(yv))
+            y_values = _frozen(yv)
+        object.__setattr__(self, "y_values", y_values)
 
     @property
     def n_x(self) -> int:
@@ -148,8 +146,7 @@ class JointSource:
         return Pmf(self.channel_x_given_y.matrix @ self.p_y.probs)
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Value):
     """A release channel p_{U|Y} with optional labels for the U symbols.
 
     Labels are numeric estimates of Y for squared-error utility, or
@@ -157,15 +154,17 @@ class Mechanism:
     purely categorical.
     """
 
-    channel_u_given_y: Channel
-    u_labels: np.ndarray | None = None
+    __slots__ = ("channel_u_given_y", "u_labels")
 
-    def __post_init__(self):
-        if self.u_labels is not None:
-            lab = np.array(self.u_labels, dtype=float)
-            if lab.shape != (self.channel_u_given_y.n_outputs,):
+    def __init__(self, channel_u_given_y: Channel,
+                 u_labels: np.ndarray | None = None):
+        if u_labels is not None:
+            lab = np.array(u_labels, dtype=float)
+            if lab.shape != (channel_u_given_y.n_outputs,):
                 raise DimensionMismatch("u_labels length must equal |U|")
-            object.__setattr__(self, "u_labels", _frozen(lab))
+            u_labels = _frozen(lab)
+        object.__setattr__(self, "channel_u_given_y", channel_u_given_y)
+        object.__setattr__(self, "u_labels", u_labels)
 
     @classmethod
     def identity(cls, n: int, labels=None) -> "Mechanism":

@@ -32,10 +32,10 @@ with every kept one cost O(raw x kept).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .probability import JointSource, Pmf, _frozen
 from .tolerances import (DEDUP_TOL, DIRECTION_TOL, MEMBERSHIP_TOL, RANK_TOL,
                          ZERO_FORM_TOL)
@@ -45,6 +45,9 @@ Y_CAP = 10
 # one batch of candidate bases holds about this many bytes of matrices, so
 # memory stays bounded at the caps (m = 20, |Y| = 10: C(30, 21) ~ 14M bases)
 _BATCH_BYTES = 1 << 20
+# ends each cap's error message, which the CLI prints as it is
+_REFUSAL = ("the region count grows exponentially with the number of secret "
+            "symbols, refusing to enumerate")
 
 
 class TooManyForms(ValueError):
@@ -55,17 +58,19 @@ class DegenerateSystem(RuntimeError):
     """A region misses p_Y or has no independent basis (internal bug)."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Value):
     """One signed term of the cost: coeffs . x + offset.
 
     Built from row r of P_{X|Y} as coeffs = r, offset = -r . p_Y, so the
     value is r . (x - p_Y).  ``row`` records the source row.
     """
 
-    coeffs: np.ndarray
-    offset: float
-    row: int
+    __slots__ = ("coeffs", "offset", "row")
+
+    def __init__(self, coeffs: np.ndarray, offset: float, row: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "row", row)
 
 
 def build_linear_forms(src: JointSource) -> list[LinearForm]:
@@ -103,8 +108,7 @@ def f_value(forms: list[LinearForm], x) -> float | np.ndarray:
     return 0.5 * total
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """One sign-pattern polytope {x in simplex : A_tilde x <= b_tilde}.
 
     ``sign_pattern`` has one entry per retained form; the cost restricted
@@ -112,9 +116,13 @@ class Region:
     Regions produced by ``enumerate_regions`` are certified to contain p_Y.
     """
 
-    sign_pattern: tuple[int, ...]
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
+    __slots__ = ("sign_pattern", "a_tilde", "b_tilde")
+
+    def __init__(self, sign_pattern: tuple[int, ...], a_tilde: np.ndarray,
+                 b_tilde: np.ndarray):
+        object.__setattr__(self, "sign_pattern", sign_pattern)
+        object.__setattr__(self, "a_tilde", a_tilde)
+        object.__setattr__(self, "b_tilde", b_tilde)
 
     @property
     def n_constraints(self) -> int:
@@ -169,10 +177,11 @@ def enumerate_regions(forms: list[LinearForm], p_y: Pmf) -> list[Region]:
     """
     m = len(forms)
     if m > FORM_CAP:
-        raise TooManyForms(f"{m} retained forms exceed the cap of {FORM_CAP}")
+        raise TooManyForms(f"{m} retained forms exceed the cap of {FORM_CAP}; "
+                           f"{_REFUSAL}")
     n = len(p_y)
     if n > Y_CAP:
-        raise TooManyForms(f"|Y| = {n} exceeds the cap of {Y_CAP}")
+        raise TooManyForms(f"|Y| = {n} exceeds the cap of {Y_CAP}; {_REFUSAL}")
 
     groups = _direction_groups(forms)
     regions = []
@@ -334,8 +343,7 @@ def region_extreme_points(region: Region) -> np.ndarray:
     return extreme_points([region])[0]
 
 
-@dataclass(frozen=True)
-class SPointSet:
+class SPointSet(Value):
     """The deduplicated union of all regions' extreme points.
 
     ``points`` is one read-only (K, |Y|) array, a point per row.  Points
@@ -345,9 +353,13 @@ class SPointSet:
     ``dropped_rows`` lists the rows of P_{X|Y} that gave no form.
     """
 
-    points: np.ndarray
-    f_values: np.ndarray
-    dropped_rows: tuple[int, ...]
+    __slots__ = ("points", "f_values", "dropped_rows")
+
+    def __init__(self, points: np.ndarray, f_values: np.ndarray,
+                 dropped_rows: tuple[int, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "f_values", f_values)
+        object.__setattr__(self, "dropped_rows", dropped_rows)
 
     def __len__(self) -> int:
         return len(self.points)

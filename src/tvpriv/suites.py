@@ -9,12 +9,12 @@ seed is part of the reported output so every run is reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import lp
+from ._value import Value
 from .leakage import (MarkovChain, avg_tv_leakage, is_linkage_consistent,
                       is_postprocessing_consistent, leakage_report,
                       lp_linkage_slack)
@@ -74,12 +74,15 @@ def linkage_fixture_chain(variant: str = "main") -> MarkovChain:
 # suite plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    seed: int
-    instances: int
-    checks: dict  # check name -> (worst value, tolerance, ok)
+class SuiteResult(Value):
+    __slots__ = ("name", "seed", "instances", "checks")
+
+    def __init__(self, name: str, seed: int, instances: int, checks: dict):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "instances", instances)
+        # check name -> (worst value, tolerance, ok)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .leakage import avg_tv_leakage, mutual_information
 from .probability import Channel, Pmf, entropy
 
@@ -39,8 +39,7 @@ def _brier_expected(p: np.ndarray, q: np.ndarray) -> float:
     return float(1.0 - 2.0 * np.dot(p, q) + np.dot(q, q))
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(Value):
     """An inference cost C(x, q) with its bound L = sup |C| when finite.
 
     Brier over the closed simplex is bounded by 2, attained by a point
@@ -49,9 +48,13 @@ class CostFunction:
     maximum over menu x alphabet.  Log-loss is unbounded.
     """
 
-    kind: CostKind
-    menu: tuple[Pmf, ...] | None = None
-    bound_l: float = math.inf
+    __slots__ = ("kind", "menu", "bound_l")
+
+    def __init__(self, kind: CostKind, menu: tuple[Pmf, ...] | None = None,
+                 bound_l: float = math.inf):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "menu", menu)
+        object.__setattr__(self, "bound_l", bound_l)
 
     @classmethod
     def log_loss(cls) -> "CostFunction":
@@ -98,21 +101,27 @@ def optimal_belief(cost: CostFunction, p: Pmf) -> tuple[Pmf, float]:
     return cost.menu[best], float(values[best])
 
 
-@dataclass(frozen=True)
-class ThreatReport:
+class ThreatReport(Value):
     """Attacker's optimal costs before/after observing U and the gain.
 
     ``bound_4lt`` and ``slack`` are present only for bounded costs;
     ``mi_identity_gap`` is present only for log-loss, where the gain
-    must coincide with I(X;U).
+    must coincide with I(X;U).  ``__slots__`` lists the fields in report
+    order.
     """
 
-    c0_star: float
-    expected_cu_star: float
-    delta_c: float
-    bound_4lt: float | None = None
-    slack: float | None = None
-    mi_identity_gap: float | None = None
+    __slots__ = ("c0_star", "expected_cu_star", "delta_c", "bound_4lt", "slack",
+                 "mi_identity_gap")
+
+    def __init__(self, c0_star: float, expected_cu_star: float, delta_c: float,
+                 bound_4lt: float | None = None, slack: float | None = None,
+                 mi_identity_gap: float | None = None):
+        object.__setattr__(self, "c0_star", c0_star)
+        object.__setattr__(self, "expected_cu_star", expected_cu_star)
+        object.__setattr__(self, "delta_c", delta_c)
+        object.__setattr__(self, "bound_4lt", bound_4lt)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "mi_identity_gap", mi_identity_gap)
 
 
 def inference_gain(cost: CostFunction, p_u: Pmf, p_x_given_u: Channel,

@@ -23,11 +23,11 @@ feasible, so larger requests change nothing and are not errors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
+from ._value import Value
 from .leakage import LOG2E, avg_tv_leakage, mutual_information
 from .probability import Channel, JointSource, Mechanism, entropy
 from .regions import SPointSet, enumerate_spoints
@@ -92,22 +92,28 @@ def perr_binary(p: float, delta_l1: float, eps: float) -> float:
     return min(p, 1 - p) * max(0.0, 1.0 - eps / (p * (1 - p) * delta_l1))
 
 
-@dataclass(frozen=True)
-class TradeoffSolution:
+class TradeoffSolution(Value):
     """One solved budget point: value, optimal mechanism, achieved leakage."""
 
-    epsilon: float            # effective (clamped) budget
-    epsilon_requested: float
-    utility_value: float
-    mechanism: Mechanism
-    achieved_t: float
+    __slots__ = ("epsilon", "epsilon_requested", "utility_value", "mechanism",
+                 "achieved_t")
+
+    def __init__(self, epsilon: float, epsilon_requested: float,
+                 utility_value: float, mechanism: Mechanism, achieved_t: float):
+        object.__setattr__(self, "epsilon", epsilon)  # effective (clamped) budget
+        object.__setattr__(self, "epsilon_requested", epsilon_requested)
+        object.__setattr__(self, "utility_value", utility_value)
+        object.__setattr__(self, "mechanism", mechanism)
+        object.__setattr__(self, "achieved_t", achieved_t)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    epsilon: float
-    utility_value: float
-    achieved_t: float
+class TradeoffPoint(Value):
+    __slots__ = ("epsilon", "utility_value", "achieved_t")
+
+    def __init__(self, epsilon: float, utility_value: float, achieved_t: float):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "utility_value", utility_value)
+        object.__setattr__(self, "achieved_t", achieved_t)
 
 
 def _phi(kind: UtilityKind, cols: np.ndarray, src: JointSource) -> np.ndarray:
@@ -140,11 +146,17 @@ def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
     the conditional mean of Y for squared error (which attains the MMSE
     lower bound with equality), the posterior mode index for error
     probability (ties to the lowest index), none for mutual information.
+
+    A point becomes a U symbol when some entry of its p_{U|Y} row exceeds
+    ``SUPPORT_TOL``.  Its weight alone does not decide: a Y symbol with
+    p_Y(y) below the tolerance may be carried only by points of smaller
+    weight, and dropping them would leave that column empty.
     """
     weights = np.asarray(weights, dtype=float)
-    support = np.where(weights > SUPPORT_TOL)[0]
+    spread = (spoints.as_matrix() * weights).T / src.p_y.probs  # K x |Y|
+    support = np.flatnonzero((spread > SUPPORT_TOL).any(axis=1))
     if support.size == 0:
-        raise EmptySupport("no weight exceeds the support tolerance")
+        raise EmptySupport("no support point carries mass above the support tolerance")
     w = weights[support]
     w = w / w.sum()
     cols = spoints.as_matrix()[:, support]           # |Y| x |U|
@@ -160,17 +172,20 @@ def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
     return Mechanism(Channel(channel_u_given_y), labels)
 
 
-@dataclass(frozen=True)
-class _TradeoffLp:
+class _TradeoffLp(Value):
     """The budget-independent part of the trade-off LP for one source and
     utility; ``form`` is None when no retained form costs leakage."""
 
-    kind: UtilityKind
-    spoints: SPointSet
-    p_y: np.ndarray
-    t_cap: float
-    h_y: float
-    form: lp.StandardForm | None  # the LP's rows, budget row last
+    __slots__ = ("kind", "spoints", "p_y", "t_cap", "h_y", "form")
+
+    def __init__(self, kind: UtilityKind, spoints: SPointSet, p_y: np.ndarray,
+                 t_cap: float, h_y: float, form: lp.StandardForm | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spoints", spoints)
+        object.__setattr__(self, "p_y", p_y)
+        object.__setattr__(self, "t_cap", t_cap)
+        object.__setattr__(self, "h_y", h_y)
+        object.__setattr__(self, "form", form)  # the LP's rows, budget row last
 
     def clamp(self, eps: float) -> float:
         return min(max(float(eps), 0.0), self.t_cap)

@@ -3,15 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tvpriv
-from tvpriv import (Channel, Mechanism, Pmf, avg_tv_leakage, compose,
-                    mutual_information)
-from tvpriv import cli, regions
+from tvpriv import (Channel, JointSource, Mechanism, Pmf, UtilityKind,
+                    avg_tv_leakage, compose, mutual_information)
+from tvpriv import cli, regions, suites
 from tvpriv.cli import main
 from tvpriv.suites import fixture_path
 
@@ -157,6 +158,15 @@ class TestSolve:
         assert reason in err
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports tvpriv from this tree."""
+    src_dir = str(Path(tvpriv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestImportCost:
     # importing numpy.ma adds about 15 ms to each CLI process;
     # nothing on the source-loading or solve path should pull it in
@@ -169,12 +179,31 @@ class TestImportCost:
         f"main(['solve', {UNIFORM3!r}, '--utility', 'mmse', '--epsilon', '0.05'])",
     ], ids=["joint_source", "cli_solve"])
     def test_numpy_ma_not_imported(self, snippet):
-        code = snippet + "\nimport sys\nassert 'numpy.ma' not in sys.modules"
-        src_dir = str(Path(tvpriv.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src_dir)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        run_python(snippet + "\nimport sys\nassert 'numpy.ma' not in sys.modules")
+
+    # each module costs a CLI process a few ms to compile and run, so a
+    # command loads only the modules it runs
+    @pytest.mark.parametrize("args, unused", [
+        (["measure", BINARY, "--identity"], ["lp", "regions", "tradeoff", "suites"]),
+        (["threat", BINARY, "--identity"], ["lp", "regions", "tradeoff", "suites"]),
+        (["regions", BINARY], ["lp", "tradeoff", "leakage", "threats", "suites"]),
+        (["solve", BINARY, "--utility", "mi", "--epsilon", "0.05"],
+         ["suites", "threats"]),
+        (["curve", BINARY, "--utility", "perr", "--grid", "5"],
+         ["suites", "threats"]),
+    ], ids=["measure", "threat", "regions", "solve", "curve"])
+    def test_command_loads_only_what_it_runs(self, args, unused):
+        run_python("import sys\n"
+                   "from tvpriv.cli import main\n"
+                   f"assert main({args!r}) == 0\n"
+                   f"loaded = [m for m in {unused!r} if 'tvpriv.' + m in sys.modules]\n"
+                   "assert not loaded, loaded")
+
+    def test_bare_import_loads_nothing(self):
+        run_python("import sys, tvpriv\n"
+                   "loaded = [m for m in sys.modules\n"
+                   "          if m.startswith('tvpriv.') or m.split('.')[0] == 'numpy']\n"
+                   "assert not loaded, loaded")
 
 
 class TestCurve:
@@ -303,7 +332,6 @@ class TestRegionsCommand:
             return original(region_list)
 
         monkeypatch.setattr(regions, "extreme_points", counted)
-        monkeypatch.setattr(cli, "extreme_points", counted)
         out = tmp_path / "reg.json"
         assert run(["regions", BINARY, "--out", str(out)]) == 0
         patterns = [r["sign_pattern"] for r in read_json(out)["regions"]]
@@ -369,7 +397,10 @@ class TestRegionsCommand:
             "P_x_given_y": matrix.tolist(),
         }))
         assert run(["regions", str(src)]) == 2
-        assert "grows exponentially" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: 21 retained forms exceed the cap of 20; the region count "
+            "grows exponentially with the number of secret symbols, refusing "
+            "to enumerate\n")
 
 
 STDOUT_DATA = Path(__file__).parent / "data" / "stdout"
@@ -448,6 +479,12 @@ class TestVerifyCommand:
         want = (STDOUT_DATA / dump).read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == want
 
+    def test_parser_constants_match_the_modules(self):
+        # the parser names suites and utilities without importing them
+        assert cli.SUITE_NAMES == tuple(suites.SUITES)
+        assert cli.DEFAULT_SEED == suites.DEFAULT_SEED
+        assert [UtilityKind(v) for v in cli.UTILITY_FLAGS.values()] == list(UtilityKind)
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_rejected(self, capsys, instances):
         assert run(["verify", "--instances", instances]) == 2
@@ -510,6 +547,31 @@ class TestOutPath:
         stdout, err = capsys.readouterr()
         assert stdout == ""
         assert "--out" in err and "internal error" not in err
+
+
+class TestRareSymbol:
+    """p_Y(2) = 1e-10 is below SUPPORT_TOL; only the posterior e_3 carries it."""
+
+    DOC = {"p_y": [0.5, 0.4999999999, 1e-10],
+           "P_x_given_y": [[0.9, 0.2, 0.5], [0.1, 0.8, 0.5]],
+           "y_values": [0, 1, 2]}
+
+    @pytest.mark.parametrize("utility", ["mi", "mmse", "perr"])
+    def test_solve_stays_within_budget(self, tmp_path, capsys, utility):
+        path = tmp_path / "rare.json"
+        path.write_text(json.dumps(self.DOC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would exit 3
+            assert run(["solve", str(path), "--utility", utility,
+                        "--epsilon", "0.05"]) == 0
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        doc = json.loads(out)
+        src = JointSource(Pmf(np.array(self.DOC["p_y"])),
+                          Channel(np.array(self.DOC["P_x_given_y"])))
+        mech = Mechanism(Channel(np.array(doc["mechanism"]["p_u_given_y"])))
+        p_u, p_x_given_u, _ = compose(mech, src)
+        assert avg_tv_leakage(p_u, p_x_given_u, src.marginal_x()) <= 0.05 + 1e-8
 
 
 class TestPointMassSource:

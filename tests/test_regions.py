@@ -536,13 +536,13 @@ class TestEnumerateSPoints:
     def test_builds_no_pmf(self, uniform3_source, monkeypatch):
         sources = shared_basis_sources(uniform3_source)
         built = []
-        validate = Pmf.__post_init__
+        validate = Pmf.__init__
 
-        def counting(self):
+        def counting(self, probs):
             built.append(self)
-            validate(self)
+            validate(self, probs)
 
-        monkeypatch.setattr(Pmf, "__post_init__", counting)
+        monkeypatch.setattr(Pmf, "__init__", counting)
         for src in sources:
             enumerate_spoints(src)
         assert built == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,21 @@ class TestMechanismFromWeights:
         w[prior_idx] = 1.0
         mech = mechanism_from_weights(w, sp, binary_source, MI)
         assert mech.channel_u_given_y.n_outputs == 1
+
+    @pytest.mark.parametrize("kind", [MI, MMSE, PERR])
+    def test_rare_symbol_keeps_its_only_posterior(self, kind):
+        # p_Y(2) = 1e-10 is below SUPPORT_TOL; the optimum puts weight 1e-10
+        # on e_3, the only posterior carrying y = 2, whose p_{U|Y} entry is 1
+        src = JointSource(Pmf(np.array([0.5, 0.4999999999, 1e-10])),
+                          Channel(np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.5]])),
+                          y_values=np.array([0.0, 1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_tradeoff(src, kind, 0.05)
+            p_u, p_x_given_u, _ = compose(sol.mechanism, src)
+            t = avg_tv_leakage(p_u, p_x_given_u, src.marginal_x())
+        assert t <= 0.05 + 1e-8
+        assert sol.mechanism.channel_u_given_y.matrix[:, 2].max() == 1.0
 
     def test_perr_labels_are_argmax_indices(self, uniform3_source):
         sol = solve_tradeoff(uniform3_source, PERR, 0.05)
