@@ -1,7 +1,8 @@
 """Every numerical tolerance of the package, each with its reason.
 
-All are absolute.  Inputs are probabilities, so entries lie in [0, 1]
-and an absolute tolerance is a fixed fraction of the scale.
+All are absolute but one use of PIVOT_TOL.  Inputs are probabilities,
+so entries lie in [0, 1] and an absolute tolerance is a fixed fraction
+of the scale.
 """
 
 # an input pmf or channel column may miss sum 1 by rounding in the file
@@ -26,7 +27,10 @@ RANK_TOL = 1e-10
 DEDUP_TOL = 1e-9
 
 # the simplex treats reduced costs, pivot entries and ratio ties smaller
-# than this as zero, so rounding cannot choose a pivot
+# than this as zero, so rounding cannot choose a pivot; the ratio test
+# scales it by max(1, the entering column's largest magnitude), since a
+# tableau column can grow far past 1 and an entry that small next to it
+# is rounding (Harris 1973)
 PIVOT_TOL = 1e-10
 # phase one declares infeasible when the artificials keep more mass than
 # this at its optimum

@@ -9,6 +9,7 @@ from tvpriv.cli import load_source
 from tvpriv.suites import fixture_path
 from tvpriv.tradeoff import UtilityKind
 
+import lp_reference
 from conftest import random_source
 
 H_THIRD = 0.9182958340544896
@@ -93,6 +94,26 @@ def random_problem(rng):
     return prob
 
 
+def test_feasible_agrees_with_solve():
+    # for each random problem: itself (feasible and bounded), its equality
+    # block made nonnegative with a negative right-hand side (infeasible),
+    # and its equality block plus a free column of cost -1 (unbounded)
+    rng = np.random.default_rng(83)
+    seen = set()
+    for _ in range(30):
+        p = random_problem(rng)
+        zeros = np.zeros((p.a_eq.shape[0], 1))
+        for q in (p,
+                  LpProblem(c=p.c, a_eq=np.abs(p.a_eq),
+                            b_eq=-np.abs(p.b_eq) - 0.1),
+                  LpProblem(c=np.append(p.c, -1.0),
+                            a_eq=np.hstack([p.a_eq, zeros]), b_eq=p.b_eq)):
+            status = lp_solve(q).status
+            assert lp_feasible(q) == (status != INFEASIBLE)
+            seen.add(status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
 class TestRandomProblems:
 
     def test_matches_scipy(self):
@@ -165,8 +186,9 @@ class TestRandomProblems:
 
 
 def eager_solve(p: LpProblem):
-    """Reference: the solver with its standard form built per call and its
-    duals solved eagerly, as ``(weights, value, sorted basis, dual)``.
+    """Reference: the two-tableau solver of ``lp_reference``, with its
+    standard form built per call and its duals solved eagerly, as
+    ``(weights, value, sorted basis, dual)``.
 
     Only for problems with both an equality and an inequality block that
     are feasible and bounded.
@@ -177,7 +199,7 @@ def eager_solve(p: LpProblem):
     b = np.concatenate([p.b_eq, p.b_ub])
     c = np.concatenate([p.c, np.zeros(n_ub)])
     n = a.shape[1]
-    body, basis, kept = lp._phase_one(a, b)
+    body, basis, kept = lp_reference._phase_one(a, b)
     mk = body.shape[0]
     tab = np.zeros((mk + 1, n + 1))
     tab[:mk, :] = body
@@ -185,7 +207,7 @@ def eager_solve(p: LpProblem):
     for i, bi in enumerate(basis):
         if c[bi] != 0.0:
             tab[-1, :] -= c[bi] * tab[i, :]
-    assert lp._bland_simplex(tab, basis, n) == OPTIMAL
+    assert lp_reference._bland_simplex(tab, basis, n) == OPTIMAL
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         x[bi] = max(tab[i, -1], 0.0)

@@ -338,8 +338,9 @@ class TestSweepCurve:
 
 
 def fault_source() -> JointSource:
-    """A (5, 5) source on which the simplex returns weights that break its
-    own equality rows: the 18th draw of a seeded size ladder."""
+    """A (5, 5) source on which the simplex, with an absolute pivot test,
+    returned weights that break its own equality rows: the 18th draw of a
+    seeded size ladder."""
     rng = np.random.default_rng([12, 1])
     rungs = [(4, 4), (5, 4), (5, 5), (6, 5), (6, 6)]
     for k in range(18):
@@ -351,13 +352,11 @@ def fault_source() -> JointSource:
 
 
 class TestKnownSimplexFault:
-    # Phase one accepts any pivot element above PIVOT_TOL (one is 3.3e-9
-    # here) and never re-solves the final basis, so the weights drift off
-    # the marginal rows and mechanism assembly renormalises that away.
-    # These pass once the pivoting is fixed; strict, so that fix notices.
+    # Phase one once accepted any pivot element above PIVOT_TOL (one is
+    # 3.3e-9 here, next to a 902 in the same column), so the weights
+    # drifted off the marginal rows and mechanism assembly renormalised
+    # that away.  The ratio test now scales PIVOT_TOL by the column.
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="simplex pivots on tiny entries")
     def test_mi_mechanism_within_budget(self):
         src = fault_source()
         eps = t_xy(src) / 2
@@ -365,12 +364,54 @@ class TestKnownSimplexFault:
         p_u, p_x_given_u, _ = compose(sol.mechanism, src)
         assert avg_tv_leakage(p_u, p_x_given_u, src.marginal_x()) <= eps + 1e-8
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="simplex pivots on tiny entries")
     def test_mmse_achieved_t_within_budget(self):
         src = fault_source()
         eps = t_xy(src) / 2
         assert solve_tradeoff(src, MMSE, eps).achieved_t <= eps + 1e-8
+
+
+def scan_source(k: int) -> JointSource:
+    """Draw k of a seeded scan of random sources, with no entry floored;
+    the draws before it are made but not solved."""
+    rng = np.random.default_rng(2024)
+    shapes = [(3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (4, 5), (5, 5), (6, 5),
+              (5, 6)]
+    for j in range(k + 1):
+        nx, ny = shapes[j % len(shapes)]
+        p_y = rng.dirichlet(np.ones(ny))
+        p_x_given_y = rng.dirichlet(np.ones(nx), size=ny).T
+        y_values = np.sort(rng.normal(size=ny))
+    return JointSource(Pmf(p_y), Channel(p_x_given_y), y_values)
+
+
+ZERO_BUDGET_FAULT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the tableau simplex is still wrong at eps = 0")
+
+
+class TestZeroBudgetScan:
+    # Draws 0-1199 of ``scan_source`` at eps in {0, T/2, T}, for all three
+    # utilities, are 10,800 LPs.  Checked against HiGHS, the solver gets
+    # these 8 wrong, all at eps = 0, and each mechanism leaks; strict, so
+    # that a sounder simplex notices.  (1006, mmse) was wrong before the
+    # ratio test became scale-relative.
+
+    @pytest.mark.parametrize("k, kind", [
+        pytest.param(474, MMSE, marks=ZERO_BUDGET_FAULT),
+        pytest.param(474, PERR, marks=ZERO_BUDGET_FAULT),
+        pytest.param(475, MMSE, marks=ZERO_BUDGET_FAULT),
+        pytest.param(475, PERR, marks=ZERO_BUDGET_FAULT),
+        pytest.param(496, MMSE, marks=ZERO_BUDGET_FAULT),
+        pytest.param(496, PERR, marks=ZERO_BUDGET_FAULT),
+        pytest.param(943, MI, marks=ZERO_BUDGET_FAULT),
+        pytest.param(1006, MI, marks=ZERO_BUDGET_FAULT),
+        (1006, MMSE),
+    ])
+    def test_mechanism_within_zero_budget(self, k, kind):
+        src = scan_source(k)
+        sol = solve_tradeoff(src, kind, 0.0)
+        p_u, p_x_given_u, _ = compose(sol.mechanism, src)
+        assert avg_tv_leakage(p_u, p_x_given_u, src.marginal_x()) <= 1e-8
 
 
 class TestVarianceConcavity:
