@@ -159,11 +159,6 @@ def _mechanism_doc(mech: Mechanism, p_u: Pmf, p_y_given_u: Channel) -> dict:
     }
 
 
-def _fields(report) -> dict:
-    """A report's fields by name, in declaration order."""
-    return {name: getattr(report, name) for name in report.__slots__}
-
-
 def cmd_solve(args) -> int:
     from .tradeoff import solve_tradeoff
 
@@ -207,7 +202,8 @@ def cmd_measure(args) -> int:
     src = load_source(args.source)
     p_u, p_x_given_u, _ = compose(_mechanism_arg(args, src.n_y), src)
     rep = leakage_report(p_u, p_x_given_u, src.marginal_x())
-    _emit_json({**_fields(rep), "slack_mi_lower": rep.slack_mi_lower,
+    _emit_json({**{name: getattr(rep, name) for name in rep._fields},
+                "slack_mi_lower": rep.slack_mi_lower,
                 "slack_ml_upper": rep.slack_ml_upper,
                 "slack_ml_lower": rep.slack_ml_lower}, args.out)
     return EXIT_OK
@@ -249,7 +245,8 @@ def cmd_threat(args) -> int:
     cost = (CostFunction.log_loss() if args.cost == "log_loss"
             else CostFunction.brier())
     rep = inference_gain(cost, p_u, p_x_given_u, src.marginal_x())
-    _emit_json({"cost": args.cost, **_fields(rep)}, args.out)
+    _emit_json({"cost": args.cost,
+                **{name: getattr(rep, name) for name in rep._fields}}, args.out)
     return EXIT_OK
 
 

@@ -98,18 +98,6 @@ class LeakageReport(Value):
                  "max_info_leakage_bits", "bound_mi_lower", "bound_ml_upper",
                  "bound_ml_lower")
 
-    def __init__(self, t_leakage: float, mutual_info_bits: float,
-                 maximal_leakage_bits: float, max_info_leakage_bits: float,
-                 bound_mi_lower: float, bound_ml_upper: float,
-                 bound_ml_lower: float):
-        object.__setattr__(self, "t_leakage", t_leakage)
-        object.__setattr__(self, "mutual_info_bits", mutual_info_bits)
-        object.__setattr__(self, "maximal_leakage_bits", maximal_leakage_bits)
-        object.__setattr__(self, "max_info_leakage_bits", max_info_leakage_bits)
-        object.__setattr__(self, "bound_mi_lower", bound_mi_lower)
-        object.__setattr__(self, "bound_ml_upper", bound_ml_upper)
-        object.__setattr__(self, "bound_ml_lower", bound_ml_lower)
-
     @property
     def slack_mi_lower(self) -> float:
         return self.mutual_info_bits - self.bound_mi_lower
@@ -152,9 +140,7 @@ class MarkovChain(Value):
             raise DimensionMismatch("p_{B|C} width must equal |C|")
         if channel_a_given_b.n_inputs != channel_b_given_c.n_outputs:
             raise DimensionMismatch("p_{A|B} width must equal |B|")
-        object.__setattr__(self, "p_c", p_c)
-        object.__setattr__(self, "channel_b_given_c", channel_b_given_c)
-        object.__setattr__(self, "channel_a_given_b", channel_a_given_b)
+        Value.__init__(self, p_c, channel_b_given_c, channel_a_given_b)
 
     def p_b(self) -> Pmf:
         return Pmf(self.channel_b_given_c.matrix @ self.p_c.probs)
@@ -186,10 +172,6 @@ class SlackResult(Value):
     """Outcome of an inequality check: truth value plus the signed slack."""
 
     __slots__ = ("ok", "slack")
-
-    def __init__(self, ok: bool, slack: float):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "slack", slack)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._value import Value
+from ._value import Value, _frozen
 from .tolerances import FEAS_TOL, PIVOT_TOL
 
 OPTIMAL = "optimal"
@@ -70,8 +70,7 @@ class LpProblem(Value):
                 if b.size != a.shape[0]:
                     raise ValueError(f"{bname} has {b.size} rows, expected {a.shape[0]}")
                 fields[bname] = b
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        Value.__init__(self, **fields)
 
     @property
     def n_vars(self) -> int:
@@ -81,18 +80,14 @@ class LpProblem(Value):
 class LpSolution(Value):
     """A basic solution: nonzeros are confined to the (independent) basis."""
 
-    # ``__dict__`` holds ``dual`` once read
+    # ``_final_basis`` is (form, kept rows, basic column of each kept row),
+    # from which ``dual`` is solved; ``__dict__`` holds ``dual`` once read
     __slots__ = ("status", "weights", "value", "basis", "_final_basis", "__dict__")
 
     def __init__(self, status: str, weights: np.ndarray | None = None,
                  value: float | None = None, basis: tuple[int, ...] = (),
                  _final_basis: tuple | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "basis", basis)
-        # (form, kept rows, basic column of each kept row) for ``dual``
-        object.__setattr__(self, "_final_basis", _final_basis)
+        Value.__init__(self, status, weights, value, basis, _final_basis)
 
     def __bool__(self) -> bool:
         return self.status == OPTIMAL
@@ -114,7 +109,7 @@ class LpSolution(Value):
             y[kept_rows] = np.linalg.solve(bmat.T, form.c[np.array(basis, dtype=int)])
         except np.linalg.LinAlgError:
             return None
-        return y
+        return _frozen(y)
 
 
 def _pivot(tab: np.ndarray, r: int, q: int) -> None:
@@ -162,18 +157,13 @@ class StandardForm(Value):
     """One problem's constraints as ``A x = b, x >= 0``, right-hand side apart.
 
     Rows are the equality rows, then the inequality rows with one slack
-    column each; ``c`` is zero on the slacks.  Built once by
-    :func:`standard_form`, it solves any right-hand side ``b`` (``b_eq``
-    then ``b_ub``) from the same initial tableau, so equal inputs pivot
-    identically to :func:`solve`.
+    column each after the ``n_struct`` structural ones; ``c`` is zero on
+    the slacks.  Built once by :func:`standard_form`, it solves any
+    right-hand side ``b`` (``b_eq`` then ``b_ub``) from the same initial
+    tableau, so equal inputs pivot identically to :func:`solve`.
     """
 
     __slots__ = ("a", "c", "n_struct")
-
-    def __init__(self, a: np.ndarray, c: np.ndarray, n_struct: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "n_struct", n_struct)
 
     def solve(self, b) -> LpSolution:
         """Solve to a basic optimal solution (deterministic Bland pivoting)."""
@@ -182,13 +172,6 @@ class StandardForm(Value):
         b = np.asarray(b, dtype=float)
         if b.shape != (m,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({m},)")
-
-        if m == 0:
-            # only x >= 0 remains; bounded iff c >= 0, optimum at the origin
-            if np.any(c < -PIVOT_TOL):
-                return LpSolution(status=UNBOUNDED)
-            x = np.zeros(n)
-            return LpSolution(OPTIMAL, x[:n_struct], 0.0, (), (self, [], []))
 
         # one tableau [sign*A | I | sign*b]; phase one minimises the sum
         # of the artificial columns n:n+m
@@ -232,8 +215,8 @@ class StandardForm(Value):
         for i, bi in enumerate(basis):
             x[bi] = max(tab[i, -1], 0.0)
         value = float(np.dot(c, x))
-        return LpSolution(OPTIMAL, x[:n_struct], value, tuple(sorted(basis)),
-                          (self, kept, basis))
+        return LpSolution(OPTIMAL, _frozen(x)[:n_struct], value,
+                          tuple(sorted(basis)), (self, kept, basis))
 
 
 def standard_form(p: LpProblem) -> StandardForm:

@@ -31,12 +31,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible alphabet sizes."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly computed array, owned by no caller, read-only."""
-    a.flags.writeable = False
-    return a
-
-
 class Pmf(Value):
     """A probability mass function over a finite alphabet.
 
@@ -58,7 +52,7 @@ class Pmf(Value):
             if np.any(v < 0):
                 raise NegativeEntry(f"negative entry {v.min():.3g} in pmf")
             raise SumNotOne(f"pmf sums to {s!r}, not 1 (tolerance {PROB_ATOL})")
-        object.__setattr__(self, "probs", _frozen(v / s))
+        Value.__init__(self, v / s)
 
     def __len__(self) -> int:
         return self.probs.size
@@ -84,7 +78,7 @@ class Channel(Value):
                 raise NegativeEntry(f"negative entry in channel column {j}")
             j = int(np.argmax(np.abs(sums - 1.0) > PROB_ATOL))
             raise SumNotOne(f"channel column {j} sums to {sums[j]!r}, not 1")
-        object.__setattr__(self, "matrix", _frozen(m / sums))
+        Value.__init__(self, m / sums)
 
     @property
     def n_outputs(self) -> int:
@@ -115,23 +109,20 @@ class JointSource(Value):
             raise DimensionMismatch(
                 f"channel has {channel_x_given_y.n_inputs} input symbols, "
                 f"p_y has {len(p_y)}")
-        object.__setattr__(self, "p_y", p_y)
-        object.__setattr__(self, "channel_x_given_y", channel_x_given_y)
         if np.any(p_y.probs <= 0):
             raise ZeroMassSymbol("p_y must be strictly positive")
-        if np.any(self.marginal_x().probs <= 0):
+        if np.any(channel_x_given_y.matrix @ p_y.probs <= 0):
             raise ZeroMassSymbol("induced p_x has a zero-mass symbol")
         if y_values is not None:
-            yv = np.array(y_values, dtype=float)
-            if yv.shape != (len(self.p_y),):
+            y_values = np.array(y_values, dtype=float)
+            if y_values.shape != (len(p_y),):
                 raise DimensionMismatch("y_values length must equal |Y|")
-            if not np.all(np.isfinite(yv)):
+            if not np.all(np.isfinite(y_values)):
                 raise ValueError("y_values must be finite")
             # sort-and-diff rather than np.unique, which imports numpy.ma
-            if np.any(np.diff(np.sort(yv)) == 0):
+            if np.any(np.diff(np.sort(y_values)) == 0):
                 raise ValueError("y_values must be distinct")
-            y_values = _frozen(yv)
-        object.__setattr__(self, "y_values", y_values)
+        Value.__init__(self, p_y, channel_x_given_y, y_values)
 
     @property
     def n_x(self) -> int:
@@ -159,12 +150,10 @@ class Mechanism(Value):
     def __init__(self, channel_u_given_y: Channel,
                  u_labels: np.ndarray | None = None):
         if u_labels is not None:
-            lab = np.array(u_labels, dtype=float)
-            if lab.shape != (channel_u_given_y.n_outputs,):
+            u_labels = np.array(u_labels, dtype=float)
+            if u_labels.shape != (channel_u_given_y.n_outputs,):
                 raise DimensionMismatch("u_labels length must equal |U|")
-            u_labels = _frozen(lab)
-        object.__setattr__(self, "channel_u_given_y", channel_u_given_y)
-        object.__setattr__(self, "u_labels", u_labels)
+        Value.__init__(self, channel_u_given_y, u_labels)
 
     @classmethod
     def identity(cls, n: int, labels=None) -> "Mechanism":

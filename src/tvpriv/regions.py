@@ -35,8 +35,8 @@ import itertools
 
 import numpy as np
 
-from ._value import Value
-from .probability import JointSource, Pmf, _frozen
+from ._value import Value, _frozen
+from .probability import JointSource, Pmf
 from .tolerances import (DEDUP_TOL, DIRECTION_TOL, MEMBERSHIP_TOL, RANK_TOL,
                          ZERO_FORM_TOL)
 
@@ -66,11 +66,6 @@ class LinearForm(Value):
     """
 
     __slots__ = ("coeffs", "offset", "row")
-
-    def __init__(self, coeffs: np.ndarray, offset: float, row: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "row", row)
 
 
 def build_linear_forms(src: JointSource) -> list[LinearForm]:
@@ -117,12 +112,6 @@ class Region(Value):
     """
 
     __slots__ = ("sign_pattern", "a_tilde", "b_tilde")
-
-    def __init__(self, sign_pattern: tuple[int, ...], a_tilde: np.ndarray,
-                 b_tilde: np.ndarray):
-        object.__setattr__(self, "sign_pattern", sign_pattern)
-        object.__setattr__(self, "a_tilde", a_tilde)
-        object.__setattr__(self, "b_tilde", b_tilde)
 
     @property
     def n_constraints(self) -> int:
@@ -355,12 +344,6 @@ class SPointSet(Value):
 
     __slots__ = ("points", "f_values", "dropped_rows")
 
-    def __init__(self, points: np.ndarray, f_values: np.ndarray,
-                 dropped_rows: tuple[int, ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "f_values", f_values)
-        object.__setattr__(self, "dropped_rows", dropped_rows)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -386,5 +369,5 @@ def merge_extreme_points(src: JointSource, forms: list[LinearForm],
     kept_rows = {f.row for f in forms}
     dropped = tuple(i for i in range(src.n_x) if i not in kept_rows)
     raw = np.concatenate(region_points)
-    points = _frozen(raw[_first_seen_rows(raw)])
+    points = raw[_first_seen_rows(raw)]
     return SPointSet(points, f_value(forms, points), dropped)

@@ -75,14 +75,9 @@ def linkage_fixture_chain(variant: str = "main") -> MarkovChain:
 # ---------------------------------------------------------------------------
 
 class SuiteResult(Value):
-    __slots__ = ("name", "seed", "instances", "checks")
+    """``checks`` maps each check's name to (worst value, tolerance, ok)."""
 
-    def __init__(self, name: str, seed: int, instances: int, checks: dict):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "instances", instances)
-        # check name -> (worst value, tolerance, ok)
-        object.__setattr__(self, "checks", checks)
+    __slots__ = ("name", "seed", "instances", "checks")
 
     @property
     def passed(self) -> bool:

@@ -52,9 +52,7 @@ class CostFunction(Value):
 
     def __init__(self, kind: CostKind, menu: tuple[Pmf, ...] | None = None,
                  bound_l: float = math.inf):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "menu", menu)
-        object.__setattr__(self, "bound_l", bound_l)
+        Value.__init__(self, kind, menu, bound_l)
 
     @classmethod
     def log_loss(cls) -> "CostFunction":
@@ -116,12 +114,8 @@ class ThreatReport(Value):
     def __init__(self, c0_star: float, expected_cu_star: float, delta_c: float,
                  bound_4lt: float | None = None, slack: float | None = None,
                  mi_identity_gap: float | None = None):
-        object.__setattr__(self, "c0_star", c0_star)
-        object.__setattr__(self, "expected_cu_star", expected_cu_star)
-        object.__setattr__(self, "delta_c", delta_c)
-        object.__setattr__(self, "bound_4lt", bound_4lt)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "mi_identity_gap", mi_identity_gap)
+        Value.__init__(self, c0_star, expected_cu_star, delta_c, bound_4lt,
+                       slack, mi_identity_gap)
 
 
 def inference_gain(cost: CostFunction, p_u: Pmf, p_x_given_u: Channel,

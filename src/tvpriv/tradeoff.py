@@ -93,27 +93,15 @@ def perr_binary(p: float, delta_l1: float, eps: float) -> float:
 
 
 class TradeoffSolution(Value):
-    """One solved budget point: value, optimal mechanism, achieved leakage."""
+    """One solved budget point: value, optimal mechanism, achieved leakage,
+    at the effective (clamped) budget ``epsilon``."""
 
     __slots__ = ("epsilon", "epsilon_requested", "utility_value", "mechanism",
                  "achieved_t")
 
-    def __init__(self, epsilon: float, epsilon_requested: float,
-                 utility_value: float, mechanism: Mechanism, achieved_t: float):
-        object.__setattr__(self, "epsilon", epsilon)  # effective (clamped) budget
-        object.__setattr__(self, "epsilon_requested", epsilon_requested)
-        object.__setattr__(self, "utility_value", utility_value)
-        object.__setattr__(self, "mechanism", mechanism)
-        object.__setattr__(self, "achieved_t", achieved_t)
-
 
 class TradeoffPoint(Value):
     __slots__ = ("epsilon", "utility_value", "achieved_t")
-
-    def __init__(self, epsilon: float, utility_value: float, achieved_t: float):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "utility_value", utility_value)
-        object.__setattr__(self, "achieved_t", achieved_t)
 
 
 def _phi(kind: UtilityKind, cols: np.ndarray, src: JointSource) -> np.ndarray:
@@ -174,18 +162,10 @@ def mechanism_from_weights(weights: np.ndarray, spoints: SPointSet,
 
 class _TradeoffLp(Value):
     """The budget-independent part of the trade-off LP for one source and
-    utility; ``form`` is None when no retained form costs leakage."""
+    utility.  ``form`` holds the LP's rows, budget row last; it is None
+    when no retained form costs leakage."""
 
     __slots__ = ("kind", "spoints", "p_y", "t_cap", "h_y", "form")
-
-    def __init__(self, kind: UtilityKind, spoints: SPointSet, p_y: np.ndarray,
-                 t_cap: float, h_y: float, form: lp.StandardForm | None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "spoints", spoints)
-        object.__setattr__(self, "p_y", p_y)
-        object.__setattr__(self, "t_cap", t_cap)
-        object.__setattr__(self, "h_y", h_y)
-        object.__setattr__(self, "form", form)  # the LP's rows, budget row last
 
     def clamp(self, eps: float) -> float:
         return min(max(float(eps), 0.0), self.t_cap)

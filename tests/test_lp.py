@@ -306,4 +306,13 @@ class TestStandardForm:
         sol = lp_solve(LpProblem(c=[1.0, 0.0]))
         assert sol.status == OPTIMAL
         assert np.array_equal(sol.weights, [0.0, 0.0])
+        assert sol.value == 0.0
+        assert sol.basis == ()
         assert sol.dual.shape == (0,)
+        # only x >= 0 remains: bounded iff no cost is below -PIVOT_TOL
+        assert lp_solve(LpProblem(c=[-1e-11, 2.0])).status == OPTIMAL
+        for c in ([1.0, -2e-10], [-1.0]):
+            sol = lp_solve(LpProblem(c=c))
+            assert sol.status == UNBOUNDED
+            assert sol.weights is None and sol.dual is None
+        assert lp_feasible(LpProblem(c=[-1.0]))

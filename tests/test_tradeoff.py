@@ -414,6 +414,67 @@ class TestZeroBudgetScan:
         assert avg_tv_leakage(p_u, p_x_given_u, src.marginal_x()) <= 1e-8
 
 
+def near_face_source() -> JointSource:
+    """A (5, 5) source with p_Y(0) = 1.16e-8, near a face of the simplex:
+    ROADMAP's State reproducer."""
+    return JointSource(
+        Pmf(np.array([1.160118126321931e-08, 0.19851206693328788,
+                      0.2971184754298537, 0.19338520028336617,
+                      0.310984245752311])),
+        Channel(np.array([
+            [0.06129970330676204, 0.2543143871250902, 0.019054281512943118,
+             0.351146134627901, 0.3687962135101124],
+            [0.26972416513170633, 0.24536896907528763, 0.1949206361195876,
+             0.0942261152288112, 0.20348910437606085],
+            [0.09392930161934619, 0.07164357394716792, 0.07638927535300133,
+             0.2092049787715568, 0.4067307811540866],
+            [0.5328274530502828, 0.39629620133311605, 0.29542106168868876,
+             0.14332842908249135, 0.011653635404440641],
+            [0.0422193768919027, 0.03237686851933821, 0.4142147453257793,
+             0.20209434228923956, 0.009330265555299557]])),
+        np.array([-0.29841157129806317, -0.07070791434361312,
+                  -0.05543338223999065, 1.3199758549471072,
+                  1.3795075436424549]))
+
+
+NEAR_FACE_LEAK = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: with p_Y near a face the mechanism leaks above eps")
+
+
+class TestNearFace:
+    # With p_Y(0) = 1.16e-8, phase one reports the eps = 0 LP infeasible,
+    # though releasing nothing is always feasible, and at T/2 the mi and
+    # mmse mechanisms leak above the budget.  Strict, so that a sounder
+    # simplex notices.
+
+    @staticmethod
+    def recheck(kind, frac):
+        src = near_face_source()
+        eps = frac * t_xy(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_tradeoff(src, kind, eps)
+            p_u, p_x_given_u, _ = compose(sol.mechanism, src)
+            t = avg_tv_leakage(p_u, p_x_given_u, src.marginal_x())
+        assert t <= eps + 1e-8
+
+    @pytest.mark.xfail(
+        strict=True, raises=RuntimeError,
+        reason="ROADMAP item 1: phase one finds the eps = 0 LP infeasible")
+    @pytest.mark.parametrize("kind", [MI, MMSE, PERR])
+    def test_zero_budget(self, kind):
+        self.recheck(kind, 0.0)
+
+    @pytest.mark.parametrize("kind, frac", [
+        pytest.param(MI, 0.5, marks=NEAR_FACE_LEAK),
+        pytest.param(MMSE, 0.5, marks=NEAR_FACE_LEAK),
+        (PERR, 0.5), (MI, 1.0), (MMSE, 1.0), (PERR, 1.0),
+    ])
+    def test_within_budget(self, kind, frac):
+        self.recheck(kind, frac)
+
+
 class TestVarianceConcavity:
     def test_random_mixtures(self):
         rng = np.random.default_rng(229)
